@@ -15,6 +15,11 @@ bookkeeping over the order ledger below:
 with ord |lambda| = min_i ord lambda_i.  The zero polynomial has order
 INF, and INF propagates through minima and sums in the usual way.
 
+The ledger's orders are exact; poly.compose_order forms only the lowest
+coefficients of each composition (poly.compose_arc, the full one, is the
+independent oracle).  ord K_m and ord T_m are m times the m = 1 orders, so
+one ledger per arc serves every m.
+
 For a polynomial germ the two orders agree on every arc; the probe below
 reports them side by side so that any disagreement is visible as an
 internal inconsistency rather than hidden.
@@ -25,9 +30,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .poly import INF, UniPoly, compose_arc, parse_unipoly
+from .poly import INF, UniPoly, compose_order, parse_unipoly
 from .quantities import MapGerm, build_minors
 
 Order = float  # int-valued, or INF
@@ -101,14 +106,12 @@ def ledger(germ: MapGerm, arc: Arc) -> OrderLedger:
     shared: dict = {}
     comps = arc.components
 
-    ord_f = tuple(compose_arc(c, comps, shared).order for c in germ.components)
+    ord_f = tuple(compose_order(c, comps, shared) for c in germ.components)
     ord_u = min(ord_f)
     ord_norm_x = arc.order
-    ord_minors = tuple(
-        (idx, compose_arc(poly, comps, shared).order) for idx, poly in cache.p_minors
-    )
+    ord_minors = tuple((idx, compose_order(poly, comps, shared)) for idx, poly in cache.p_minors)
     ord_thom_minors = tuple(
-        (idx, compose_arc(poly, comps, shared).order) for idx, poly in cache.thom_minors
+        (idx, compose_order(poly, comps, shared)) for idx, poly in cache.thom_minors
     )
     best_minor = min((o for _, o in ord_minors), default=INF)
     ord_v = ord_norm_x + best_minor
@@ -160,22 +163,23 @@ class ProbeReport:
         return self.n_equal == self.n_total
 
 
+def equivalence_probes(germ: MapGerm, arcs: Sequence[Arc], ms: Sequence[int]) -> tuple[ProbeReport, ...]:
+    """Compare ord K_m and ord T_m over a list of arcs, in order, for each m,
+    reading every m off one ledger per arc."""
+    if any(m < 1 for m in ms):
+        raise ValueError("m must be a positive integer")
+    ledgers = [ledger(germ, arc) for arc in arcs]
+    reports = []
+    for m in ms:
+        rows = tuple(ProbeRow(i, m * led.ord_h, m * led.ord_g, led.ord_h == led.ord_g)
+                     for i, led in enumerate(ledgers))
+        reports.append(ProbeReport(m, rows, sum(r.equal for r in rows), len(rows)))
+    return tuple(reports)
+
+
 def equivalence_probe(germ: MapGerm, arcs: Sequence[Arc], m: int = 1) -> ProbeReport:
     """Compare ord K_m and ord T_m over a list of arcs, in order."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    rows = []
-    for i, arc in enumerate(arcs):
-        led = ledger(germ, arc)
-        ok = m * led.ord_h
-        ot = m * led.ord_g
-        rows.append(ProbeRow(arc_id=i, ord_kuo=ok, ord_thom=ot, equal=ok == ot))
-    return ProbeReport(
-        m=m,
-        rows=tuple(rows),
-        n_equal=sum(1 for r in rows if r.equal),
-        n_total=len(rows),
-    )
+    return equivalence_probes(germ, arcs, (m,))[0]
 
 
 def _order_str(o: Order) -> str:

@@ -33,7 +33,7 @@ from . import __version__
 from . import lojasiewicz as lj
 from . import quantities as qt
 from . import relative as rel
-from .arcs import Arc, arc_generator, equivalence_probe, parse_arc, probe_csv
+from .arcs import Arc, arc_generator, equivalence_probes, parse_arc, probe_csv
 from .lojasiewicz import CAVEAT_NUMERICAL, ScanConfig
 from .poly import ParseError, max_variable_index, parse_polynomial
 from .quantities import MapGerm, map_germ
@@ -526,7 +526,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
 
 
 def _arcs_results(germ: MapGerm, arcs: Sequence[Arc], ms: Sequence[int]) -> tuple[dict, dict[str, str]]:
-    reports = [equivalence_probe(germ, arcs, m) for m in ms]
+    reports = equivalence_probes(germ, arcs, ms)
     csvs = {f"probe_m{rep.m}": probe_csv(rep) for rep in reports}
     results = {"probes": [_probe_dict(rep) for rep in reports]}
     return results, csvs
@@ -711,3 +711,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import norm, qmc
 
 from . import quantities as qt
 from .quantities import MapGerm
@@ -154,6 +153,8 @@ def _directions(n: int, grid_per_angle: int, hi_dim: int, seed: int) -> np.ndarr
         st = np.sin(tt).ravel()
         dirs = np.column_stack([st * np.cos(pp).ravel(), st * np.sin(pp).ravel(), np.cos(tt).ravel()])
     else:
+        from scipy.stats import norm, qmc  # deferred: slow to import, and only n >= 4 needs it
+
         sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
         raw = sampler.random(hi_dim)
         dirs = norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))

@@ -22,6 +22,7 @@ lexicographic, highest first.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -82,6 +83,9 @@ class Polynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):  # the default would restore slots through __setattr__
+        return (Polynomial, (self.nvars, dict(self._terms)))
 
     # -- constructors ------------------------------------------------------
 
@@ -345,15 +349,12 @@ class UniPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        return (UniPoly, (self.coeffs,))
+
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
-
-    @classmethod
-    def t_power(cls, exponent: int, coeff: object = 1) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * exponent + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -474,7 +475,8 @@ def compose_arc(
     across calls with the same component tuple; it stores integer-cleared
     component data and their powers, which keeps the inner convolutions in
     plain integer arithmetic.  The result is identical with or without the
-    cache.
+    cache.  Callers that need only the order use compose_order; this full
+    composition stays as its independent oracle.
     """
     if len(components) != p.nvars:
         raise ValueError(
@@ -543,13 +545,95 @@ def compose_arc(
     return UniPoly([Fraction(a, scale) for a in acc])
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def compose_order(
+    p: Polynomial,
+    components: Sequence[UniPoly],
+    cache: dict | None = None,
+) -> float:
+    """compose_arc(p, components).order, computed from the lowest valuation up.
+
+    Each nonzero component is t^a_i * u_i(t) with u_i(0) != 0, cleared to
+    integers once per cache (which compose_arc may share).  A monomial
+    starts at t^(sum e_i a_i), and a lone term at the lowest such v0 cannot
+    cancel.  Otherwise only the coefficients from v0 upward are formed, from
+    integer power series of the u_i truncated to a depth that doubles while
+    they cancel; once the depth passes the degree, the order is INF.
+    """
+    if len(components) != p.nvars:
+        raise ValueError(
+            f"arc has {len(components)} components but polynomial has {p.nvars} variables"
+        )
+    if cache is None:
+        cache = {}
+    if "units" not in cache:
+        cache["units"] = _units(components)
+    vals, dens, ints = cache["units"]
+    terms = [(sum(map(operator.mul, mono, vals)), mono, c) for mono, c in p._terms.items()]
+    terms = [t for t in terms if t[0] < _DEAD]
+    if not terms:
+        return INF
+    v0 = min(v for v, _, _ in terms)
+    if sum(1 for v, _, _ in terms if v == v0) == 1:
+        return v0
+
+    def power(i: int, e: int, depth: int) -> list[int]:
+        """u_i^e truncated to `depth` coefficients (or fewer when shorter)."""
+        if e == 0:
+            return [1]
+        key = ("upow", i, e)
+        got = cache.get(key)
+        if got is None or len(got) < min(depth, e * (len(ints[i]) - 1) + 1):
+            got = cache[key] = _int_mul(power(i, e - 1, depth), ints[i], depth)
+        return got
+
+    degree = max(v + sum(e * (len(ints[i]) - 1) for i, e in enumerate(mono)) for v, mono, _ in terms)
+    depth = 2
+    while True:
+        acc = [0] * depth
+        for v, mono, c in terms:
+            room = depth - (v - v0)
+            if room <= 0:
+                continue
+            prod = [c / math.prod(dens[i] ** e for i, e in enumerate(mono))]
+            for i, e in enumerate(mono):
+                if e:
+                    prod = _int_mul(prod, power(i, e, room), room)
+            for k, val in enumerate(prod, v - v0):
+                acc[k] += val
+        for k, val in enumerate(acc):
+            if val:
+                return v0 + k
+        if v0 + depth > degree:
+            return INF
+        depth *= 2
+
+
+_DEAD = 1 << 62  # the valuation of a zero component: past every real one
+
+
+def _units(components: Sequence[UniPoly]) -> tuple[list[int], list[int], list[list[int]]]:
+    """Per component: its order a_i, and the unit part t^-a_i * component as
+    a denominator and integer coefficients."""
+    vals, dens, ints = [], [], []
+    for comp in components:
+        a = _DEAD if comp.is_zero else comp.order
+        vals.append(a)
+        dens.append(math.lcm(*(c.denominator for c in comp.coeffs)))
+        ints.append([c.numerator * (dens[-1] // c.denominator) for c in comp.coeffs[a:]])
+    return vals, dens, ints
+
+
+def _int_mul(a: list[int], b: list[int], limit: int | None = None) -> list[int]:
+    """Product of integer coefficient lists, keeping at most `limit` coefficients."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    size = len(a) + len(b) - 1
+    if limit is not None and limit < size:
+        size = limit
+    out = [0] * size
+    for i, ai in enumerate(a[:size]):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b[: size - i]):
                 if bj:
                     out[i + j] += ai * bj
     return out

@@ -135,7 +135,7 @@ class MinorCache:
     rho: Polynomial
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_minors(germ: MapGerm) -> MinorCache:
     """Compute and cache all Jacobian minors of a germ."""
     n, p = germ.n, germ.p

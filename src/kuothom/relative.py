@@ -419,9 +419,10 @@ def _band_points(sigma: SigmaSet, cfg: RelativeScanConfig) -> tuple[np.ndarray, 
         k = int(math.floor(math.log2(top / d)))
         if 0 <= k < cfg.bands:
             buckets[k].append(row)
-    return tuple(
-        np.array(rows) if rows else np.zeros((0, n)) for rows in buckets
-    )
+    out = tuple(np.array(rows) if rows else np.zeros((0, n)) for rows in buckets)
+    for arr in out:
+        arr.flags.writeable = False  # cached: shared by every later caller
+    return out
 
 
 def _band_rows(

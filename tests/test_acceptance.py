@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from kuothom import (
+    compose_arc,
     kuo_m1_at_least,
     kuo_order,
     kuo_polynomial,
@@ -118,6 +119,23 @@ def test_criterion_04_orders_scale_linearly_in_m():
     assert violations == []
 
 
+def test_even_m_orders_match_full_composition():
+    # Criterion 04 reads every m off one ledger; this route does not.  For
+    # even m the quantities are polynomials, so composing them in full with
+    # the arc gives the order independently of the ledger.
+    mismatches = []
+    for i in range(12):
+        germ = corpus_germ(i)
+        polys = {m: (kuo_polynomial(germ, m), thom_polynomial(germ, m)) for m in (2, 4)}
+        for arc in corpus_arcs(i, germ.n, count=6):
+            for m, (kuo_m, thom_m) in polys.items():
+                want = (compose_arc(kuo_m, arc.components).order,
+                        compose_arc(thom_m, arc.components).order)
+                if want != (kuo_order(germ, m, arc), thom_order(germ, m, arc)):
+                    mismatches.append((i, m, arc.to_string()))
+    assert mismatches == []
+
+
 def test_criterion_05_thom_minors_dominated_pointwise():
     # w(x) <= 2(n - p) v(x) with v = |x| * (p-minor sum) and w the
     # (p+1)-minor sum of (f, rho).  For n = p there are no such minors and
@@ -220,3 +238,4 @@ def test_criterion_10_example_command_deterministic(tmp_path: Path):
     assert "example_report.json" in names_a
     for name in names_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kuothom
+import kuothom.arcs
 from kuothom import (
     CAVEAT_NUMERICAL,
     kuo_polynomial,
@@ -182,6 +186,25 @@ def test_arcs_generated_all_orders_equal(ws):
         assert probe["all_equal"]
         assert probe["n_equal"] == probe["n_total"] == 8
     assert set(report["csv_files"]) == {"probe_m1", "probe_m2"}
+
+
+def test_arcs_builds_one_ledger_per_arc(ws, monkeypatch):
+    calls = []
+    real = kuothom.arcs.ledger
+
+    def counting(germ, arc):
+        calls.append(arc)
+        return real(germ, arc)
+
+    monkeypatch.setattr(kuothom.arcs, "ledger", counting)
+    (ws / "config.json").write_text(json.dumps({**FAST_CONFIG, "m": [1, 2, 3, 5]}))
+    germ = germ_file(ws, "x*y - z^2\ny^3\n")
+    code = main(["arcs", "--germ", str(germ), "--config", str(ws / "config.json"),
+                 "--seed", "7", "--out", str(ws / "out")])
+    assert code == 0
+    report = read_report(ws, "arcs")
+    assert [probe["m"] for probe in report["results"]["probes"]] == [1, 2, 3, 5]
+    assert [arc.to_string() for arc in calls] == report["arcs"]["list"]
 
 
 def test_arcs_empty_file(ws):
@@ -365,6 +388,31 @@ def test_example_defaults_seed_to_seven(ws):
     code = main(["example", "--config", str(ws / "config.json"), "--out", str(ws / "out")])
     assert code == 0
     assert read_report(ws, "example")["config"]["seed"] == 7
+
+
+def _module_env() -> dict:
+    src = str(Path(kuothom.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_cli_matches_in_process_main(ws):
+    args = ["example", "--config", str(ws / "config.json"), "--seed", "7"]
+    assert main(args + ["--out", str(ws / "in_process")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "kuothom.cli", *args, "--out", str(ws / "module")],
+                          capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (ws / "in_process").iterdir())
+    assert "example_report.json" in names
+    assert sorted(p.name for p in (ws / "module").iterdir()) == names
+    for name in names:
+        assert (ws / "module" / name).read_bytes() == (ws / "in_process" / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, kuothom.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script(tmp_path):

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, parsing, and arc composition."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from kuothom import (
     Polynomial,
     UniPoly,
     compose_arc,
+    compose_order,
     parse_polynomial,
     parse_unipoly,
 )
@@ -59,6 +62,16 @@ def test_immutability():
     p = P("x + y")
     with pytest.raises(AttributeError):
         p.nvars = 3
+
+
+@pytest.mark.parametrize("value", [P("1/2*x^3 - y*z + 4", 3), P("0", 2), UniPoly([0, 1, Fraction(-3, 4)]),
+                                   UniPoly.zero()])
+def test_pickle_and_copy_round_trip(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert clone == value
+        assert hash(clone) == hash(value)
+        with pytest.raises(AttributeError):
+            clone.coeffs = ()
 
 
 def test_equal_polynomials_hash_equal():
@@ -223,6 +236,37 @@ def test_compose_arc_is_ring_homomorphism(a, b, u, v):
 def test_compose_arc_cache_is_transparent(p, u, v):
     cache: dict = {}
     assert compose_arc(p, (u, v), cache) == compose_arc(p, (u, v))
+
+
+# arcs where any component may be zero, or nonzero at t = 0
+arc_components = st.one_of(unipolys(), st.just(UniPoly.zero()))
+
+
+@given(polynomials(nvars=3), arc_components, arc_components, arc_components)
+def test_compose_order_matches_full_composition(p, u, v, w):
+    full = compose_arc(p, (u, v, w))
+    assert compose_order(p, (u, v, w)) == full.order
+    # one cache shared by both routes changes neither result
+    shared: dict = {}
+    assert compose_arc(p, (u, v, w), shared) == full
+    assert compose_order(p, (u, v, w), shared) == full.order
+
+
+@given(unipolys(), polynomials(nvars=2), st.integers(1, 12))
+def test_compose_order_on_an_annihilating_arc(g, q, k):
+    # x - g(y) vanishes identically on (g(t), t), and so does any multiple;
+    # a single extra y^k then sets the order to k however deep it lies
+    graph = Polynomial(2, {(1, 0): 1, **{(0, j): -c for j, c in enumerate(g.coeffs)}})
+    p = graph * q
+    arc = (g, parse_unipoly("t"))
+    assert compose_order(p, arc) == INF
+    assert compose_arc(p, arc).is_zero
+    assert compose_order(p + P(f"y^{k}", 2), arc) == k
+
+
+def test_compose_order_dimension_mismatch():
+    with pytest.raises(ValueError):
+        compose_order(P("x + y"), (parse_unipoly("t"),))
 
 
 def test_compose_arc_rational_coefficients():

@@ -361,3 +361,7 @@ def test_ideal_generators_scalar_thom():
 def test_ideal_generators_identity_thom():
     gens = ideal_generators_thom(IDENTITY_2)
     assert gens == (parse_polynomial("x", 2), parse_polynomial("y", 2))
+
+
+def test_minor_cache_is_bounded():
+    assert build_minors.cache_info().maxsize is not None

@@ -321,6 +321,15 @@ def test_relative_scan_is_deterministic():
     assert first == second
 
 
+def test_cached_bands_are_read_only():
+    bands = rel._band_points(X_AXIS, FAST)
+    assert any(len(band) for band in bands)
+    for band in bands:
+        with pytest.raises(ValueError):
+            band[...] = 0.0
+    assert check_relative(SQUARE_GERM, "kuo", 2, 1, X_AXIS, FAST).holds
+
+
 def test_relative_config_validation():
     with pytest.raises(ValueError):
         RelativeScanConfig(delta=0.0)
