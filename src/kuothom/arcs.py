@@ -78,11 +78,6 @@ def parse_arc(text: str, nvars: int | None = None) -> Arc:
     return Arc(tuple(parse_unipoly(chunk) for chunk in parts))
 
 
-def ord_uni(q: UniPoly) -> Order:
-    """Order of a univariate polynomial at 0 (INF when identically zero)."""
-    return q.order
-
-
 @dataclass(frozen=True)
 class OrderLedger:
     """All orders needed to read off ord K_m and ord T_m along one arc."""
@@ -175,11 +170,6 @@ def equivalence_probes(germ: MapGerm, arcs: Sequence[Arc], ms: Sequence[int]) ->
                      for i, led in enumerate(ledgers))
         reports.append(ProbeReport(m, rows, sum(r.equal for r in rows), len(rows)))
     return tuple(reports)
-
-
-def equivalence_probe(germ: MapGerm, arcs: Sequence[Arc], m: int = 1) -> ProbeReport:
-    """Compare ord K_m and ord T_m over a list of arcs, in order."""
-    return equivalence_probes(germ, arcs, (m,))[0]
 
 
 def _order_str(o: Order) -> str:

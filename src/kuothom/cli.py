@@ -20,6 +20,7 @@ inconsistency (an arc-order mismatch, which a correct build never emits).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -33,9 +34,9 @@ from . import __version__
 from . import lojasiewicz as lj
 from . import quantities as qt
 from . import relative as rel
-from .arcs import Arc, arc_generator, equivalence_probes, parse_arc, probe_csv
+from .arcs import Arc, ProbeReport, arc_generator, equivalence_probes, parse_arc, probe_csv
 from .lojasiewicz import CAVEAT_NUMERICAL, ScanConfig
-from .poly import ParseError, max_variable_index, parse_polynomial
+from .poly import ParseError, Polynomial, max_variable_index, parse_polynomial, variable_names
 from .quantities import MapGerm, map_germ
 from .relative import (
     JetMismatchError,
@@ -128,46 +129,80 @@ def load_config(path: Path | None, seed_flag: int | None) -> dict:
     return config
 
 
-def _validate_config(config: dict) -> None:
-    def positive(name: str, value) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise CliError(f"config key {name!r} must be a positive number, got {value!r}")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    if config["seed"] is not None and not isinstance(config["seed"], int):
-        raise CliError("config key 'seed' must be an integer")
-    for name in ("wbar", "tolerance", "zero_floor", "ratio_radius"):
-        positive(name, config[name])
-    for name in ("r_max", "grid_per_angle", "hi_dim_directions", "multistarts",
-                 "arc_max_exponent", "arc_max_terms", "arc_coeff_bound", "ratio_points"):
-        positive(name, config[name])
-        if not isinstance(config[name], int):
-            raise CliError(f"config key {name!r} must be an integer")
-    if not isinstance(config["arc_count"], int) or config["arc_count"] < 0:
-        raise CliError("config key 'arc_count' must be a nonnegative integer")
-    for name in ("m", "r"):
-        values = config[name]
-        if not values or any(not isinstance(v, int) or v < 1 for v in values):
-            raise CliError(f"config key {name!r} must be a nonempty list of positive integers")
-    if not config["radii"] or any(not isinstance(v, (int, float)) or v <= 0 for v in config["radii"]):
-        raise CliError("config key 'radii' must be a nonempty list of positive numbers")
-    rc = config["relative"]
-    for name in ("delta",):
-        positive(f"relative.{name}", rc[name])
-    for name in ("bands", "samples_per_band", "anchor_directions", "alpha_max"):
-        positive(f"relative.{name}", rc[name])
-    for name in ("m", "r"):
-        values = rc[name]
-        if not values or any(not isinstance(v, int) or v < 1 for v in values):
-            raise CliError(f"config key 'relative.{name}' must be a nonempty list of positive integers")
-    if not rc["which"] or any(w not in ("kuo", "thom") for w in rc["which"]):
-        raise CliError("config key 'relative.which' must list 'kuo' and/or 'thom'")
-    for entry in rc["t_grid"]:
-        try:
-            t = Fraction(entry)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"relative.t_grid entry {entry!r} is not a rational number") from exc
-        if not 0 <= t <= 1:
-            raise CliError(f"relative.t_grid entry {entry!r} is outside [0, 1]")
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_unit_rational(v) -> bool:
+    if not isinstance(v, (str, int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return 0 <= Fraction(v) <= 1
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return False
+
+
+def _list_of(test, nonempty: bool = True):
+    return lambda v: isinstance(v, list) and (bool(v) or not nonempty) and all(test(x) for x in v)
+
+
+# Kinds of config value: a test, and what an error says the value must be.
+_SEED = (lambda v: v is None or _is_int(v), "an integer")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_POSITIVES = (_list_of(lambda v: _is_number(v) and v > 0), "a nonempty list of positive numbers")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_COUNT0 = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+_COUNTS = (_list_of(lambda v: _is_int(v) and v >= 1), "a nonempty list of positive integers")
+_WHICH = (_list_of(lambda v: v in ("kuo", "thom")), "a nonempty list of 'kuo' and/or 'thom'")
+_T_GRID = (_list_of(_is_unit_rational, nonempty=False), 'a list of rationals in [0, 1], such as "1/4"')
+_PATH = (lambda v: v is None or isinstance(v, str), "a germ file path or null")
+
+#: Kind and cap (None: no cap) of every config key.  A cap bounds a size
+#: that sets how much work or memory a run takes; it lies above the
+#: default, and a larger value is refused before anything is allocated.
+CONFIG_SCHEMA: dict[str, tuple[tuple, int | None]] = {
+    "seed": (_SEED, None),
+    "m": (_COUNTS, None),
+    "r": (_COUNTS, None),
+    "r_max": (_COUNT, 64),
+    "wbar": (_POSITIVE, None),
+    "tolerance": (_POSITIVE, None),
+    "radii": (_POSITIVES, None),
+    "grid_per_angle": (_COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
+    "hi_dim_directions": (_COUNT, 65536),
+    "multistarts": (_COUNT, 256),
+    "zero_floor": (_POSITIVE, None),
+    "arc_count": (_COUNT0, 10000),
+    "arc_max_exponent": (_COUNT, 64),
+    "arc_max_terms": (_COUNT, None),
+    "arc_coeff_bound": (_COUNT, None),
+    "ratio_radius": (_POSITIVE, None),
+    "ratio_points": (_COUNT, 1000000),
+    "relative.delta": (_POSITIVE, None),
+    "relative.bands": (_COUNT, 32),
+    "relative.samples_per_band": (_COUNT, 16384),
+    "relative.anchor_directions": (_COUNT, 1024),
+    "relative.alpha_max": (_POSITIVE, None),
+    "relative.r": (_COUNTS, None),
+    "relative.m": (_COUNTS, None),
+    "relative.which": (_WHICH, None),
+    "relative.t_grid": (_T_GRID, None),
+    "relative.deform_germ": (_PATH, None),
+}
+
+
+def _validate_config(config: dict) -> None:
+    for key, ((test, kind), cap) in CONFIG_SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        value = (config[section] if section else config)[name]
+        if not test(value):
+            raise CliError(f"config key {key!r} must be {kind}, got {value!r}")
+        if cap is not None and value > cap:
+            raise CliError(f"config key {key!r} is {value}, above its cap of {cap}")
 
 
 def _require_seed(config: dict, why: str) -> int:
@@ -264,8 +299,22 @@ def _generated_arcs(config: dict, n: int) -> list[Arc]:
 # Canonical serialization
 
 
+# Report keys are dataclass field names, except these renames, plus these
+# derived properties of some classes.
+_RENAMES = {"ord_kuo": "ord_K", "ord_thom": "ord_T"}
+_DERIVED = {
+    MapGerm: ("n", "p"),
+    ProbeReport: ("all_equal",),
+    lj.RatioProbe: ("stability_kuo_over_thom", "stability_thom_over_kuo"),
+}
+
+
 def canonical(obj):
-    """Make an object JSON-ready with reproducible float formatting."""
+    """Make an object JSON-ready with reproducible float formatting.
+
+    A dataclass becomes the dict of its fields (renamed by _RENAMES, with
+    the properties in _DERIVED added), and a Polynomial its text form.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -280,6 +329,11 @@ def canonical(obj):
         return canonical(float(obj))
     if isinstance(obj, (np.integer, np.bool_)):
         return obj.item()
+    if isinstance(obj, Polynomial):
+        return obj.to_string()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {_RENAMES.get(f.name, f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return canonical({**fields, **{name: getattr(obj, name) for name in _DERIVED.get(type(obj), ())}})
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -293,21 +347,6 @@ def _float_str(x: float | None) -> str:
     return f"{x:.12g}"
 
 
-def _var_names(n: int) -> tuple[str, ...]:
-    if n <= 4:
-        return ("x", "y", "z", "w")[:n]
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
-def _germ_dict(germ: MapGerm) -> dict:
-    return {
-        "components": [c.to_string() for c in germ.components],
-        "n": germ.n,
-        "p": germ.p,
-        "jet_degree": germ.jet_degree,
-    }
-
-
 def _sigma_dict(sigma: rel.SigmaSet) -> dict:
     if isinstance(sigma, rel.CoordinateSubspaceUnion):
         return {
@@ -319,109 +358,6 @@ def _sigma_dict(sigma: rel.SigmaSet) -> dict:
         "variant": "zeros",
         "description": sigma.describe(),
         "distance_method": f"penalized projection, residual tolerance {PROJECTION_TOL:g}",
-    }
-
-
-def _estimate_dict(est: lj.ExponentEstimate | None) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "slope": est.slope,
-        "log_constant": est.log_constant,
-        "r_squared": est.r_squared,
-        "n_points": est.n_points,
-    }
-
-
-def _scan_dict(scan: lj.RadialScan) -> dict:
-    return {
-        "radii": list(scan.radii),
-        "min_values": list(scan.min_values),
-        "feasible": list(scan.feasible),
-        "total": list(scan.total),
-        "strategy": {
-            "kind": scan.strategy.kind,
-            "grid_points": scan.strategy.grid_points,
-            "multistarts": scan.strategy.multistarts,
-            "seed": scan.strategy.seed,
-        },
-    }
-
-
-def _verdict_dict(v: lj.ConditionVerdict) -> dict:
-    return {
-        "condition": v.condition,
-        "holds": v.holds,
-        "estimate": _estimate_dict(v.estimate),
-        "target_exponent": v.target_exponent,
-        "tolerance": v.tolerance,
-        "caveat": v.caveat,
-        "diagnostics": list(v.diagnostics),
-        "scan": _scan_dict(v.scan),
-    }
-
-
-def _relative_verdict_dict(v: rel.RelativeVerdict) -> dict:
-    return {
-        "condition": v.condition,
-        "r": v.r,
-        "m": v.m,
-        "holds": v.holds,
-        "estimate": _estimate_dict(v.estimate),
-        "target_exponent": v.target_exponent,
-        "tolerance": v.tolerance,
-        "caveat": v.caveat,
-        "diagnostics": list(v.diagnostics),
-        "sigma": v.sigma,
-        "bands": [
-            {"low": row.low, "high": row.high, "count": row.count, "min_value": row.min_value}
-            for row in v.bands
-        ],
-    }
-
-
-def _probe_dict(rep) -> dict:
-    return {
-        "m": rep.m,
-        "n_equal": rep.n_equal,
-        "n_total": rep.n_total,
-        "all_equal": rep.all_equal,
-        "rows": [
-            {"arc_id": row.arc_id, "ord_K": row.ord_kuo, "ord_T": row.ord_thom, "equal": row.equal}
-            for row in rep.rows
-        ],
-    }
-
-
-def _ratio_dict(probe: lj.RatioProbe) -> dict:
-    return {
-        "m": probe.m,
-        "radius": probe.radius,
-        "shrunk_radius": probe.shrunk_radius,
-        "points": probe.points,
-        "max_kuo_over_thom": probe.max_kuo_over_thom,
-        "max_thom_over_kuo": probe.max_thom_over_kuo,
-        "shrunk_max_kuo_over_thom": probe.shrunk_max_kuo_over_thom,
-        "shrunk_max_thom_over_kuo": probe.shrunk_max_thom_over_kuo,
-        "stability_kuo_over_thom": probe.stability_kuo_over_thom,
-        "stability_thom_over_kuo": probe.stability_thom_over_kuo,
-    }
-
-
-def _ellipticity_dict(report: rel.EllipticityReport) -> dict:
-    return {
-        "alpha_max": report.alpha_max,
-        "holds": report.holds,
-        "entries": [
-            {
-                "index": e.index,
-                "generator": e.generator,
-                "elliptic": e.elliptic,
-                "estimate": _estimate_dict(e.estimate),
-                "diagnostics": list(e.diagnostics),
-            }
-            for e in report.entries
-        ],
     }
 
 
@@ -463,21 +399,12 @@ def _emit(out_dir: Path, stem: str, report: dict, csvs: dict[str, str]) -> None:
 
 def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict, dict[str, str]]:
     cache = qt.build_minors(germ)
-    names = _var_names(germ.n)
+    names = variable_names(germ.n)
     minors = {
-        "p_minors": [
-            {"columns": [names[i] for i in cols], "polynomial": poly.to_string()}
-            for cols, poly in cache.p_minors
-        ],
-        "thom_minors": [
-            {"columns": [names[i] for i in cols], "polynomial": poly.to_string()}
-            for cols, poly in cache.thom_minors
-        ],
+        kind: [{"columns": [names[i] for i in cols], "polynomial": poly} for cols, poly in table]
+        for kind, table in (("p_minors", cache.p_minors), ("thom_minors", cache.thom_minors))
     }
-    symbolic = {
-        "kuo_m2": qt.kuo_polynomial(germ, 2).to_string(),
-        "thom_m2": qt.thom_polynomial(germ, 2).to_string(),
-    }
+    symbolic = {"kuo_m2": qt.kuo_polynomial(germ, 2), "thom_m2": qt.thom_polynomial(germ, 2)}
     scans = {
         "kuo_m1": lj.scan_quantity(germ, "kuo", 1, cfg),
         "kuo_m2": lj.scan_quantity(germ, "kuo", 2, cfg),
@@ -503,7 +430,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
     results = {
         "minors": minors,
         "symbolic": symbolic,
-        "verdicts": [_verdict_dict(v) for v in verdicts],
+        "verdicts": verdicts,
     }
     if germ.p == 1:
         results["sufficiency_degree"] = lj.sufficiency_degree_estimate(germ, config["r_max"], cfg)
@@ -511,14 +438,13 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
     ratios = {}
     for m in config["m"]:
         try:
-            probe = lj.ratio_stability_probe(
+            ratios[str(m)] = lj.ratio_stability_probe(
                 germ,
                 m,
                 radius=config["ratio_radius"],
                 points=config["ratio_points"],
                 seed=config["seed"],
             )
-            ratios[str(m)] = _ratio_dict(probe)
         except ValueError as exc:
             ratios[str(m)] = {"error": str(exc)}
     results["ratio_probes"] = ratios
@@ -528,8 +454,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
 def _arcs_results(germ: MapGerm, arcs: Sequence[Arc], ms: Sequence[int]) -> tuple[dict, dict[str, str]]:
     reports = equivalence_probes(germ, arcs, ms)
     csvs = {f"probe_m{rep.m}": probe_csv(rep) for rep in reports}
-    results = {"probes": [_probe_dict(rep) for rep in reports]}
-    return results, csvs
+    return {"probes": canonical(reports)}, csvs
 
 
 def _raise_on_mismatch(results: dict, where: str) -> None:
@@ -546,7 +471,7 @@ def cmd_analyze(germ_path: Path, config: dict, out: Path) -> int:
     _require_seed(config, "sphere scans and ratio probes")
     results, csvs = _analyze_results(germ, config, _scan_config(config))
     report = _report_base("analyze", config)
-    report["germ"] = _germ_dict(germ)
+    report["germ"] = germ
     report["results"] = results
     _emit(out, "analyze", report, csvs)
     return EXIT_OK
@@ -562,7 +487,7 @@ def cmd_arcs(germ_path: Path, arcs_path: Path | None, config: dict, out: Path) -
         source = {"kind": "generated", "count": len(arcs)}
     results, csvs = _arcs_results(germ, arcs, config["m"])
     report = _report_base("arcs", config)
-    report["germ"] = _germ_dict(germ)
+    report["germ"] = germ
     report["arcs"] = {"source": source, "list": [a.to_string() for a in arcs]}
     report["results"] = results
     _emit(out, "arcs", report, csvs)
@@ -582,15 +507,12 @@ def cmd_relative(germ_path: Path, sigma_path: Path, config: dict, out: Path) -> 
         for r in rc["r"]:
             for m in rc["m"]:
                 verdicts.append(rel.check_relative(germ, which, r, m, sigma, rcfg))
+    alpha = rc["alpha_max"]
     results: dict = {
-        "verdicts": [_relative_verdict_dict(v) for v in verdicts],
+        "verdicts": verdicts,
         "ellipticity": {
-            "kuo_generators": _ellipticity_dict(
-                rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, rc["alpha_max"], rcfg)
-            ),
-            "thom_generators": _ellipticity_dict(
-                rel.sigma_elliptic_probe(qt.ideal_generators_thom(germ), sigma, rc["alpha_max"], rcfg)
-            ),
+            "kuo_generators": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, alpha, rcfg),
+            "thom_generators": rel.sigma_elliptic_probe(qt.ideal_generators_thom(germ), sigma, alpha, rcfg),
         },
     }
     if rc["deform_germ"]:
@@ -600,18 +522,16 @@ def cmd_relative(germ_path: Path, sigma_path: Path, config: dict, out: Path) -> 
         per_t = {}
         for which in rc["which"]:
             pairs = rel.check_compatibility(germ, other, r0, m0, which, sigma, t_grid, rcfg)
-            per_t[which] = [
-                {"t": str(t), "verdict": _relative_verdict_dict(v)} for t, v in pairs
-            ]
+            per_t[which] = [{"t": t, "verdict": v} for t, v in pairs]
         results["compatibility"] = {
-            "deform_germ": _germ_dict(other),
+            "deform_germ": other,
             "r": r0,
             "m": m0,
             "per_t": per_t,
         }
     report = _report_base("relative", config)
     report["caveats"].append("Sigma coherence is assumed, not checked")
-    report["germ"] = _germ_dict(germ)
+    report["germ"] = germ
     report["sigma"] = _sigma_dict(sigma)
     report["results"] = results
     _emit(out, "relative", report, {})
@@ -633,15 +553,12 @@ def cmd_example(config: dict, out: Path) -> int:
     relative = {
         "sigma": _sigma_dict(sigma),
         "verdicts": [
-            _relative_verdict_dict(rel.check_relative(germ, which, rc["r"][0], rc["m"][0], sigma, rcfg))
-            for which in rc["which"]
+            rel.check_relative(germ, which, rc["r"][0], rc["m"][0], sigma, rcfg) for which in rc["which"]
         ],
-        "ellipticity": _ellipticity_dict(
-            rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, rc["alpha_max"], rcfg)
-        ),
+        "ellipticity": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, rc["alpha_max"], rcfg),
     }
     report = _report_base("example", config)
-    report["germ"] = _germ_dict(germ)
+    report["germ"] = germ
     report["arcs"] = {"source": {"kind": "generated", "count": len(arcs)},
                       "list": [a.to_string() for a in arcs]}
     report["results"] = {"analyze": analyze, "arcs": arc_results, "relative": relative}

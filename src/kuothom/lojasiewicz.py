@@ -197,14 +197,6 @@ class HornConstraint:
         return max(0.0, (value - bound) / bound)
 
 
-def horn_membership(germ: MapGerm, r: int, wbar: float, x: Sequence[float]) -> bool:
-    """Whether x lies in the horn { |f(x)| <= wbar * |x|^r }."""
-    if wbar <= 0:
-        raise ValueError("the horn width wbar must be positive")
-    value = math.hypot(*(c.eval_float(x) for c in germ.components))
-    return value <= wbar * math.hypot(*x) ** r
-
-
 # ---------------------------------------------------------------------------
 # Sphere minimization
 
@@ -361,6 +353,37 @@ def estimate_exponent(scan: RadialScan, zero_floor: float = 1e-100) -> ExponentE
     return fit_loglog([p[0] for p in pairs], [p[1] for p in pairs])
 
 
+def decide_rate(
+    points: Sequence[tuple[float, float]],
+    target: float,
+    tolerance: float,
+    zero_floor: float,
+    vanished: str,
+    skipped: str | None,
+    too_few: str,
+) -> tuple[bool, ExponentEstimate | None, list[str]]:
+    """The rate rule behind every verdict: (holds, estimate, diagnostics).
+
+    `points` are the (scale, minimum) pairs of the scales that produced a
+    minimum.  Minima at or below zero_floor are zeros.  When zeros are a
+    majority, no positive constant exists and the rate fails; otherwise
+    zeros are skipped, fewer than two remaining points fail, and the rate
+    holds iff the log-log slope is at most target + tolerance.  The message
+    templates may use {zeros} and {present}; a `skipped` of None says
+    nothing about skipped zeros.
+    """
+    zeros = sum(1 for _, v in points if v <= zero_floor)
+    counts = {"zeros": zeros, "present": len(points)}
+    if zeros and 2 * zeros > len(points):
+        return False, None, [vanished.format(**counts)]
+    notes = [skipped.format(**counts)] if zeros and skipped else []
+    usable = [(x, v) for x, v in points if v > zero_floor]
+    if len(usable) < 2:
+        return False, None, notes + [too_few]
+    estimate = fit_loglog([x for x, _ in usable], [v for _, v in usable])
+    return estimate.slope <= target + tolerance, estimate, notes
+
+
 def verdict_from_scan(
     condition: str,
     scan: RadialScan,
@@ -372,47 +395,23 @@ def verdict_from_scan(
     diagnostics: list[str] = []
     present = [(r, v) for r, v in zip(scan.radii, scan.min_values) if v is not None]
     if constrained and not present:
+        holds, estimate = True, None
         diagnostics.append(
             "the admissible region is empty on every scanned sphere; the inequality holds vacuously there"
         )
-        return ConditionVerdict(
-            condition=condition,
-            holds=True,
-            estimate=None,
-            target_exponent=target,
-            tolerance=cfg.tolerance,
-            caveat=CAVEAT_NUMERICAL,
-            diagnostics=tuple(diagnostics),
-            scan=scan,
-        )
-    zeros = sum(1 for _, v in present if v <= cfg.zero_floor)
-    if constrained and len(present) < len(scan.radii):
-        diagnostics.append(
-            f"admissible region empty on {len(scan.radii) - len(present)} of {len(scan.radii)} spheres"
-        )
-    if zeros and 2 * zeros > len(present):
-        diagnostics.append(
-            f"minimum vanishes on {zeros} of {len(present)} scanned spheres; "
-            "no positive constant exists at those scales"
-        )
-        return ConditionVerdict(
-            condition=condition,
-            holds=False,
-            estimate=None,
-            target_exponent=target,
-            tolerance=cfg.tolerance,
-            caveat=CAVEAT_NUMERICAL,
-            diagnostics=tuple(diagnostics),
-            scan=scan,
-        )
-    if zeros:
-        diagnostics.append(f"minimum vanished on {zeros} of {len(present)} spheres; those spheres were skipped")
-    estimate = estimate_exponent(scan, cfg.zero_floor)
-    if estimate is None:
-        diagnostics.append("fewer than two spheres produced a positive minimum; cannot certify a rate")
-        holds = False
     else:
-        holds = estimate.slope <= target + cfg.tolerance
+        if constrained and len(present) < len(scan.radii):
+            diagnostics.append(
+                f"admissible region empty on {len(scan.radii) - len(present)} of {len(scan.radii)} spheres"
+            )
+        holds, estimate, notes = decide_rate(
+            present, target, cfg.tolerance, cfg.zero_floor,
+            "minimum vanishes on {zeros} of {present} scanned spheres; "
+            "no positive constant exists at those scales",
+            "minimum vanished on {zeros} of {present} spheres; those spheres were skipped",
+            "fewer than two spheres produced a positive minimum; cannot certify a rate",
+        )
+        diagnostics += notes
     return ConditionVerdict(
         condition=condition,
         holds=holds,

@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -34,8 +34,15 @@ Scalar = Union[int, Fraction]
 #: min(INF, q) == q, m * INF == INF for m > 0).
 INF = math.inf
 
-_ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 _ALIAS_NAMES = ("x", "y", "z", "w")
+_ALIASES = {name: i for i, name in enumerate(_ALIAS_NAMES)}
+
+
+def variable_names(nvars: int) -> tuple[str, ...]:
+    """Printed variable names: x, y, z, w for up to four variables, else x1..xn."""
+    if nvars <= 4:
+        return _ALIAS_NAMES[:nvars]
+    return tuple(f"x{i + 1}" for i in range(nvars))
 
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -105,14 +112,6 @@ class Polynomial:
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {mono: Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, nvars: int, items: Iterable[tuple[Monomial, object]]) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            mono = tuple(mono)
-            acc[mono] = acc.get(mono, Fraction(0)) + _as_fraction(coeff)
-        return cls(nvars, acc)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -138,13 +137,6 @@ class Polynomial:
         if not self._terms:
             return 0
         return max(sum(m) for m in self._terms)
-
-    @property
-    def order_at_origin(self) -> float:
-        """Smallest total degree of a term; INF for the zero polynomial."""
-        if not self._terms:
-            return INF
-        return min(sum(m) for m in self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded lexicographic order."""
@@ -236,12 +228,6 @@ class Polynomial:
             acc[lowered] = acc.get(lowered, Fraction(0)) + c * e
         return _raw(self.nvars, {m: c for m, c in acc.items() if c})
 
-    def jet(self, degree: int) -> "Polynomial":
-        """Truncate to terms of total degree at most `degree`."""
-        if degree < 0:
-            raise ValueError("jet degree must be nonnegative")
-        return _raw(self.nvars, {m: c for m, c in self._terms.items() if sum(m) <= degree})
-
     # -- evaluation --------------------------------------------------------
 
     def eval_exact(self, values: Sequence[object]) -> Fraction:
@@ -292,14 +278,11 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r}, nvars={self.nvars})"
 
-    def to_string(self, aliases: bool = True) -> str:
+    def to_string(self) -> str:
         """Render in the text grammar; the output re-parses to an equal value."""
         if not self._terms:
             return "0"
-        if aliases and self.nvars <= 4:
-            names = _ALIAS_NAMES[: self.nvars]
-        else:
-            names = tuple(f"x{i + 1}" for i in range(self.nvars))
+        names = variable_names(self.nvars)
         chunks: list[str] = []
         for mono, coeff in self.sorted_terms():
             factors = []

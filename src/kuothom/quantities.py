@@ -11,10 +11,14 @@ I, and JT_I is the (p+1) x (p+1) submatrix of the Jacobian of (f, rho)
 with rho(x) = |x|^2.  Norms are Euclidean.  When n == p there are no
 (p+1)-subsets and the Thom quantity reduces to |f(x)|^m.
 
-The proof-oriented split at a point is also exposed:
+The proof works with the split
 
     u = |f(x)|        v = |x| * sum |det J_I(x)|     w = sum |det JT_I(x)|
     h = v + u         g = w + u
+
+whose parts the vectorized helpers give at arrays of points:
+component_norm_values (u), minor_abs_sum_values (v / |x|) and
+thom_abs_sum_values (w).
 
 Minors are exact symbolic polynomials obtained by cofactor expansion; the
 float path evaluates those exact minors and only then takes absolute
@@ -26,7 +30,7 @@ of the float route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -186,49 +190,6 @@ def thom_value(germ: MapGerm, m: int, x: Sequence[float]) -> float:
     cache = build_minors(germ)
     minor_sum = sum(abs(poly.eval_float(x)) ** m for _, poly in cache.thom_minors)
     return minor_sum + _component_norm(germ, x) ** m
-
-
-@dataclass(frozen=True)
-class KTEvaluation:
-    """Pointwise values of the proof split and of both quantities.
-
-    u = |f(x)|, v = |x| * sum of absolute p-minors, w = sum of absolute
-    Thom minors, h = v + u, g = w + u.  K and T are the Kuo and Thom
-    quantities for the recorded power m.
-    """
-
-    point: tuple[float, ...]
-    m: int
-    u: float
-    v: float
-    w: float
-    h: float
-    g: float
-    K: float
-    T: float
-
-
-def eval_uvwhg(germ: MapGerm, x: Sequence[float], m: int = 1) -> KTEvaluation:
-    """Evaluate the proof split u, v, w, h, g (and K, T for `m`) at x."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    _check_point(germ, x)
-    cache = build_minors(germ)
-    u = _component_norm(germ, x)
-    norm_x = math.hypot(*x)
-    v = norm_x * sum(abs(poly.eval_float(x)) for _, poly in cache.p_minors)
-    w = sum(abs(poly.eval_float(x)) for _, poly in cache.thom_minors)
-    return KTEvaluation(
-        point=tuple(float(c) for c in x),
-        m=m,
-        u=u,
-        v=v,
-        w=w,
-        h=v + u,
-        g=w + u,
-        K=kuo_value(germ, m, x),
-        T=thom_value(germ, m, x),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ import numpy as np
 from scipy import optimize
 
 from . import quantities as qt
-from .lojasiewicz import CAVEAT_NUMERICAL, ExponentEstimate, fit_loglog
-from .poly import Polynomial, _variable_index, _tokenize, parse_polynomial
+from .lojasiewicz import CAVEAT_NUMERICAL, ExponentEstimate, decide_rate
+from .poly import Polynomial, _variable_index, _tokenize, parse_polynomial, variable_names
 from .quantities import MapGerm, map_germ
 from .seeds import subsystem_seed
 
@@ -121,7 +121,7 @@ class CoordinateSubspaceUnion:
         return best
 
     def describe(self) -> str:
-        names = _variable_names(self.nvars)
+        names = variable_names(self.nvars)
         chunks = ["[" + ",".join(names[i] for i in sub) + "]" for sub in self.subspaces]
         return "subspaces: " + ", ".join(chunks)
 
@@ -186,17 +186,6 @@ class AlgebraicSet:
 
 
 SigmaSet = Union[CoordinateSubspaceUnion, AlgebraicSet]
-
-
-def _variable_names(nvars: int) -> tuple[str, ...]:
-    if nvars <= 4:
-        return ("x", "y", "z", "w")[:nvars]
-    return tuple(f"x{i + 1}" for i in range(nvars))
-
-
-def distance(sigma: SigmaSet, x: Sequence[float]) -> float:
-    """Distance from x to Sigma (exact for subspace unions, numeric otherwise)."""
-    return sigma.distance(x)
 
 
 def parse_sigma(text: str, nvars: int) -> SigmaSet:
@@ -445,61 +434,12 @@ def _band_rows(
     return tuple(rows)
 
 
-def _verdict_from_bands(
-    condition: str,
-    rows: tuple[BandRow, ...],
-    target: float,
-    cfg: RelativeScanConfig,
-    r: int,
-    m: int,
-    sigma: SigmaSet,
-) -> RelativeVerdict:
-    diagnostics: list[str] = []
-    if isinstance(sigma, CoordinateSubspaceUnion) and sigma.is_origin_only:
-        diagnostics.append(
-            "Sigma is the origin, so d(x, Sigma) = |x| and this is the non-relative bound"
-        )
-    if isinstance(sigma, AlgebraicSet):
-        diagnostics.append(
-            f"distances to the algebraic Sigma are numeric upper bounds (tolerance {PROJECTION_TOL:g})"
-        )
-    present = [row for row in rows if row.min_value is not None]
-    empties = len(rows) - len(present)
-    if empties:
-        diagnostics.append(f"{empties} of {len(rows)} distance bands received no samples")
-    zeros = sum(1 for row in present if row.min_value <= cfg.zero_floor)
-    holds = False
-    estimate = None
-    if zeros and 2 * zeros > len(present):
-        diagnostics.append(
-            f"band minimum vanishes in {zeros} of {len(present)} bands; "
-            "no positive constant exists at those distances"
-        )
-    else:
-        if zeros:
-            diagnostics.append(f"band minimum vanished in {zeros} bands; those bands were skipped")
-        usable = [row for row in present if row.min_value > cfg.zero_floor]
-        if len(usable) < 2:
-            diagnostics.append("fewer than two usable bands; cannot certify a rate")
-        else:
-            estimate = fit_loglog(
-                [math.sqrt(row.low * row.high) for row in usable],
-                [row.min_value for row in usable],
-            )
-            holds = estimate.slope <= target + cfg.tolerance
-    return RelativeVerdict(
-        condition=condition,
-        r=r,
-        m=m,
-        holds=holds,
-        estimate=estimate,
-        target_exponent=target,
-        tolerance=cfg.tolerance,
-        caveat=CAVEAT_NUMERICAL,
-        diagnostics=tuple(diagnostics),
-        bands=rows,
-        sigma=sigma.describe(),
-    )
+def _band_minima(rows: tuple[BandRow, ...]) -> list[tuple[float, float]]:
+    """(geometric band distance, minimum) of every band that received samples."""
+    return [(math.sqrt(row.low * row.high), row.min_value) for row in rows if row.min_value is not None]
+
+
+_TOO_FEW_BANDS = "fewer than two usable bands; cannot certify a rate"
 
 
 def check_relative(
@@ -517,10 +457,38 @@ def check_relative(
         raise ValueError("Sigma and the germ live in different variable counts")
     if not isinstance(r, int) or r < 1 or m < 1:
         raise ValueError("r and m must be positive integers")
-    value_fn = lambda pts: qt.QUANTITIES[which](germ, m, pts)  # noqa: E731
-    rows = _band_rows(sigma, cfg, value_fn)
-    return _verdict_from_bands(
-        f"relative {which} bound r={r} m={m}", rows, r * m, cfg, r, m, sigma
+    rows = _band_rows(sigma, cfg, lambda pts: qt.QUANTITIES[which](germ, m, pts))
+    diagnostics: list[str] = []
+    if isinstance(sigma, CoordinateSubspaceUnion) and sigma.is_origin_only:
+        diagnostics.append(
+            "Sigma is the origin, so d(x, Sigma) = |x| and this is the non-relative bound"
+        )
+    if isinstance(sigma, AlgebraicSet):
+        diagnostics.append(
+            f"distances to the algebraic Sigma are numeric upper bounds (tolerance {PROJECTION_TOL:g})"
+        )
+    empties = sum(1 for row in rows if row.min_value is None)
+    if empties:
+        diagnostics.append(f"{empties} of {len(rows)} distance bands received no samples")
+    holds, estimate, notes = decide_rate(
+        _band_minima(rows), r * m, cfg.tolerance, cfg.zero_floor,
+        "band minimum vanishes in {zeros} of {present} bands; "
+        "no positive constant exists at those distances",
+        "band minimum vanished in {zeros} bands; those bands were skipped",
+        _TOO_FEW_BANDS,
+    )
+    return RelativeVerdict(
+        condition=f"relative {which} bound r={r} m={m}",
+        r=r,
+        m=m,
+        holds=holds,
+        estimate=estimate,
+        target_exponent=r * m,
+        tolerance=cfg.tolerance,
+        caveat=CAVEAT_NUMERICAL,
+        diagnostics=tuple(diagnostics + notes),
+        bands=rows,
+        sigma=sigma.describe(),
     )
 
 
@@ -598,32 +566,17 @@ def sigma_elliptic_probe(
         if gen.nvars != sigma.nvars:
             raise ValueError("generator variable count does not match Sigma")
         rows = _band_rows(sigma, cfg, lambda pts, g=gen: np.abs(qt.eval_many(g, pts)))
-        diagnostics: list[str] = []
-        present = [row for row in rows if row.min_value is not None]
-        zeros = sum(1 for row in present if row.min_value <= cfg.zero_floor)
-        estimate = None
-        elliptic = False
-        if zeros and 2 * zeros > len(present):
-            diagnostics.append(
-                f"generator vanishes somewhere in {zeros} of {len(present)} distance bands"
-            )
-        else:
-            usable = [row for row in present if row.min_value > cfg.zero_floor]
-            if len(usable) < 2:
-                diagnostics.append("fewer than two usable bands; cannot certify a rate")
-            else:
-                estimate = fit_loglog(
-                    [math.sqrt(row.low * row.high) for row in usable],
-                    [row.min_value for row in usable],
-                )
-                elliptic = estimate.slope <= alpha_max + cfg.tolerance
+        elliptic, estimate, notes = decide_rate(
+            _band_minima(rows), alpha_max, cfg.tolerance, cfg.zero_floor,
+            "generator vanishes somewhere in {zeros} of {present} distance bands", None, _TOO_FEW_BANDS,
+        )
         entries.append(
             GeneratorEllipticity(
                 index=idx,
                 generator=gen.to_string(),
                 estimate=estimate,
                 elliptic=elliptic,
-                diagnostics=tuple(diagnostics),
+                diagnostics=tuple(notes),
             )
         )
     return EllipticityReport(

@@ -10,13 +10,12 @@ from kuothom import (
     Arc,
     arc_generator,
     compose_arc,
-    equivalence_probe,
+    equivalence_probes,
     kuo_order,
     kuo_polynomial,
     kuo_value,
     ledger,
     map_germ,
-    ord_uni,
     parse_arc,
     parse_polynomial,
     parse_unipoly,
@@ -41,10 +40,10 @@ CUSP_ARC = parse_arc("t^2; t")
 # -- orders of univariate polynomials -----------------------------------------
 
 
-def test_ord_uni_examples():
-    assert ord_uni(parse_unipoly("t - t^4")) == 1
-    assert ord_uni(UniPoly.zero()) == INF
-    assert ord_uni(parse_unipoly("3*t^5")) == 5
+def test_unipoly_order_examples():
+    assert parse_unipoly("t - t^4").order == 1
+    assert UniPoly.zero().order == INF
+    assert parse_unipoly("3*t^5").order == 5
 
 
 # -- arc validation and parsing -------------------------------------------------
@@ -162,7 +161,7 @@ def test_infinite_orders_on_annihilating_arc():
     arc = CUSP_ARC
     assert kuo_order(germ, 1, arc) == INF
     assert thom_order(germ, 1, arc) == INF
-    report = equivalence_probe(germ, [arc])
+    report = equivalence_probes(germ, [arc], [1])[0]
     assert report.rows[0].equal
     assert "inf,inf,true" in probe_csv(report)
 
@@ -172,7 +171,7 @@ def test_infinite_orders_on_annihilating_arc():
 
 def test_probe_all_equal_on_plane_pair():
     arcs = corpus_arcs(0, 2, count=50)
-    report = equivalence_probe(PLANE_GERM, arcs, m=1)
+    report = equivalence_probes(PLANE_GERM, arcs, [1])[0]
     assert report.n_total == 50
     assert report.n_equal == 50
     assert report.all_equal
@@ -180,12 +179,12 @@ def test_probe_all_equal_on_plane_pair():
 
 def test_probe_rows_are_ordered_by_arc_index():
     arcs = corpus_arcs(1, 2, count=10)
-    report = equivalence_probe(SCALAR_GERM, arcs)
+    report = equivalence_probes(SCALAR_GERM, arcs, [1])[0]
     assert [r.arc_id for r in report.rows] == list(range(10))
 
 
 def test_probe_csv_format():
-    report = equivalence_probe(PLANE_GERM, [CUSP_ARC], m=1)
+    report = equivalence_probes(PLANE_GERM, [CUSP_ARC], [1])[0]
     lines = probe_csv(report).strip().splitlines()
     assert lines[0] == "arc_id,ord_K,ord_T,equal"
     assert lines[1] == "0,4,4,true"
@@ -194,7 +193,7 @@ def test_probe_csv_format():
 def test_equal_dims_order_is_component_order():
     germ = mk(["x + y^2", "y - x^3"], 2)
     for arc in corpus_arcs(5, 2, count=12):
-        expected = min(ord_uni(compose_arc(c, arc.components)) for c in germ.components)
+        expected = min(compose_arc(c, arc.components).order for c in germ.components)
         assert thom_order(germ, 1, arc) == expected
         assert kuo_order(germ, 1, arc) == expected
 
@@ -246,8 +245,8 @@ def test_symbolic_expansion_oracle(index):
     kuo2 = kuo_polynomial(germ, 2)
     thom2 = thom_polynomial(germ, 2)
     for arc in corpus_arcs(index, germ.n, count=10):
-        assert ord_uni(compose_arc(kuo2, arc.components)) == kuo_order(germ, 2, arc)
-        assert ord_uni(compose_arc(thom2, arc.components)) == thom_order(germ, 2, arc)
+        assert compose_arc(kuo2, arc.components).order == kuo_order(germ, 2, arc)
+        assert compose_arc(thom2, arc.components).order == thom_order(germ, 2, arc)
 
 
 @pytest.mark.parametrize("index", [0, 2, 5, 8])

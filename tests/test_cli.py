@@ -22,6 +22,7 @@ from kuothom import (
     thom_polynomial,
 )
 from kuothom.cli import (
+    CONFIG_SCHEMA,
     DEFAULT_CONFIG,
     InternalInconsistencyError,
     _raise_on_mismatch,
@@ -335,6 +336,60 @@ def test_invalid_config_values(ws, patch, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"seed": True},
+        {"arc_count": True},
+        {"m": [True]},
+        {"m": 2},
+        {"relative": {"deform_germ": 5}},
+        {"relative": {"t_grid": "1/2"}},
+    ],
+    ids=["seed-bool", "arc_count-bool", "m-bool-entry", "m-not-a-list", "deform_germ-number", "t_grid-string"],
+)
+def test_mistyped_config_values_are_refused(ws, patch, capsys):
+    (ws / "config.json").write_text(json.dumps(patch))
+    germ = germ_file(ws, "x\n")
+    code = main(["arcs", "--germ", str(germ), "--config", str(ws / "config.json"), "--out", str(ws / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ")
+    assert not (ws / "out").exists()
+
+
+CAPPED = sorted(key for key, (_, cap) in CONFIG_SCHEMA.items() if cap is not None)
+
+
+@pytest.mark.parametrize("key", CAPPED)
+def test_values_above_a_cap_are_refused(ws, key, capsys):
+    # one above the cap: refused while the config is read, before any work
+    cap = CONFIG_SCHEMA[key][1]
+    section, _, name = key.rpartition(".")
+    patch = {section: {name: cap + 1}} if section else {name: cap + 1}
+    (ws / "config.json").write_text(json.dumps(patch))
+    assert run_analyze(ws, "x - y^2\n") == 1
+    assert f"above its cap of {cap}" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
+def test_caps_lie_above_the_defaults():
+    assert set(CAPPED) == {
+        "r_max", "grid_per_angle", "hi_dim_directions", "multistarts", "arc_count", "arc_max_exponent",
+        "ratio_points", "relative.bands", "relative.samples_per_band", "relative.anchor_directions",
+    }
+    for key in CAPPED:
+        section, _, name = key.rpartition(".")
+        assert (DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG)[name] < CONFIG_SCHEMA[key][1]
+
+
+def test_config_schema_covers_every_key():
+    keys = {f"relative.{k}" for k in DEFAULT_CONFIG["relative"]}
+    keys |= {k for k in DEFAULT_CONFIG if k != "relative"}
+    assert set(CONFIG_SCHEMA) == keys
+    load_config(None, None)  # the defaults pass their own validation
+
+
 def test_config_merging_and_seed_override(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1, "relative": {"bands": 5}}))
@@ -365,6 +420,11 @@ def test_canonical_containers_and_numbers():
     assert canonical(None) is None
     with pytest.raises(TypeError):
         canonical({1, 2})
+
+
+def test_package_exports_resolve():
+    for name in kuothom.__all__:
+        assert getattr(kuothom, name, None) is not None, name
 
 
 # -- the example command ---------------------------------------------------------------

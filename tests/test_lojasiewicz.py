@@ -15,7 +15,6 @@ from kuothom import (
     check_thom_inequality,
     estimate_exponent,
     fit_loglog,
-    horn_membership,
     map_germ,
     min_on_sphere,
     parse_polynomial,
@@ -140,10 +139,9 @@ def test_kuiper_kuo_needs_scalar_target():
 
 
 def test_horn_membership_examples():
-    germ = mk(["x - y^2"], 2)
-    assert horn_membership(germ, 2, 1.0, (0.25, 0.5))
-    assert not horn_membership(germ, 2, 1.0, (0.1, 0.0))
-    assert horn_membership(germ, 2, 1.0, (0.0, 0.0))
+    horn = HornConstraint(mk(["x - y^2"], 2), 2, 1.0)
+    for x, inside in (((0.25, 0.5), True), ((0.1, 0.0), False), ((0.0, 0.0), True)):
+        assert horn.mask(np.array([x]), math.hypot(*x)).tolist() == [inside]
 
 
 def test_kuo_round_quadric():

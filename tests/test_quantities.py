@@ -15,7 +15,6 @@ from kuothom import (
     Polynomial,
     build_minors,
     determinant,
-    eval_uvwhg,
     ideal_generators_kuo,
     ideal_generators_thom,
     kuo_m1_at_least,
@@ -31,6 +30,7 @@ from kuothom import (
     thom_value_exact,
     thom_values,
 )
+from kuothom.quantities import component_norm_values, minor_abs_sum_values, thom_abs_sum_values
 from corpus import corpus_germ
 
 
@@ -192,29 +192,33 @@ def test_thom_value_hand_example():
     assert thom_value(SCALAR_GERM, 1, (0.0, 1.0)) == pytest.approx(3.0, abs=1e-12)
 
 
+def uvwhg(germ: MapGerm, pts) -> tuple[np.ndarray, ...]:
+    """The proof split u, v, w, h, g at the rows of pts, from the vector evaluators."""
+    pts = np.asarray(pts, dtype=float)
+    u = component_norm_values(germ, pts)
+    v = np.sqrt(np.sum(pts * pts, axis=1)) * minor_abs_sum_values(germ, pts)
+    w = thom_abs_sum_values(germ, pts)
+    return u, v, w, v + u, w + u
+
+
 def test_values_vanish_at_origin():
     for germ in (PLANE_GERM, SCALAR_GERM, IDENTITY_2):
         for m in (1, 2, 3):
             assert kuo_value(germ, m, (0.0, 0.0)) == 0.0
             assert thom_value(germ, m, (0.0, 0.0)) == 0.0
-    ev = eval_uvwhg(PLANE_GERM, (0.0, 0.0))
-    assert (ev.u, ev.v, ev.w, ev.h, ev.g) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert [s.tolist() for s in uvwhg(PLANE_GERM, [(0.0, 0.0)])] == [[0.0]] * 5
 
 
 def test_uvwhg_hand_example():
-    ev = eval_uvwhg(SCALAR_GERM, (0.0, 1.0))
-    assert ev.u == pytest.approx(1.0, abs=1e-12)
-    assert ev.v == pytest.approx(3.0, abs=1e-12)
-    assert ev.w == pytest.approx(2.0, abs=1e-12)
-    assert ev.h == pytest.approx(4.0, abs=1e-12)
-    assert ev.g == pytest.approx(3.0, abs=1e-12)
-    assert ev.K == pytest.approx(4.0, abs=1e-12)
-    assert ev.T == pytest.approx(3.0, abs=1e-12)
+    pts = [(0.0, 1.0)]
+    split = [s[0] for s in uvwhg(SCALAR_GERM, pts)]
+    assert split == pytest.approx([1.0, 3.0, 2.0, 4.0, 3.0], abs=1e-12)
+    assert kuo_values(SCALAR_GERM, 1, pts)[0] == pytest.approx(4.0, abs=1e-12)
+    assert thom_values(SCALAR_GERM, 1, pts)[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_uvwhg_identity_example():
-    ev = eval_uvwhg(IDENTITY_2, (1.0, 0.0))
-    assert (ev.u, ev.v, ev.w, ev.h, ev.g) == (1.0, 1.0, 0.0, 2.0, 1.0)
+    assert [s.tolist() for s in uvwhg(IDENTITY_2, [(1.0, 0.0)])] == [[1.0], [1.0], [0.0], [2.0], [1.0]]
 
 
 def test_point_dimension_checked():
@@ -251,12 +255,13 @@ def test_power_sum_sandwich(index, m):
     rng = random.Random(1000 + index)
     ck = 2**m * max(1, math.comb(n, p)) ** (m - 1)
     ct = 2**m * max(1, math.comb(n, p + 1)) ** (m - 1)
-    for x in _sample_points(rng, n):
-        ev = eval_uvwhg(germ, x, m)
-        assert ev.K <= ev.h**m * (1 + 1e-9)
-        assert ev.h**m <= ck * ev.K * (1 + 1e-9)
-        assert ev.T <= ev.g**m * (1 + 1e-9)
-        assert ev.g**m <= ct * ev.T * (1 + 1e-9)
+    pts = _sample_points(rng, n)
+    _, _, _, h, g = uvwhg(germ, pts)
+    K, T = kuo_values(germ, m, pts), thom_values(germ, m, pts)
+    assert np.all(K <= h**m * (1 + 1e-9))
+    assert np.all(h**m <= ck * K * (1 + 1e-9))
+    assert np.all(T <= g**m * (1 + 1e-9))
+    assert np.all(g**m <= ct * T * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 5, 11, 23, 58, 131])
@@ -267,10 +272,10 @@ def test_thom_minor_domination(index):
     n, p = germ.n, germ.p
     factor = max(2 * (n - p), 1)
     rng = random.Random(2000 + index)
-    for x in _sample_points(rng, n):
-        ev = eval_uvwhg(germ, x)
-        assert ev.w <= 2 * (n - p) * ev.v + 1e-12
-        assert ev.T <= factor * ev.K + 1e-12
+    pts = _sample_points(rng, n)
+    _, v, w, _, _ = uvwhg(germ, pts)
+    assert np.all(w <= 2 * (n - p) * v + 1e-12)
+    assert np.all(thom_values(germ, 1, pts) <= factor * kuo_values(germ, 1, pts) + 1e-12)
 
 
 # -- float route against the exact route ----------------------------------------

@@ -22,7 +22,6 @@ from kuothom import (
     check_condition_ktilde,
     check_relative,
     deformation,
-    distance,
     ideal_generators_kuo,
     jets_equal_on_sigma,
     map_germ,
@@ -48,15 +47,15 @@ SQUARE_GERM = mk(["y^2"], 2)
 
 
 def test_distance_to_one_axis():
-    assert distance(X_AXIS, (3.0, 4.0)) == pytest.approx(4.0, abs=1e-15)
+    assert X_AXIS.distance((3.0, 4.0)) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_distance_to_axis_union():
-    assert distance(CROSS, (3.0, 4.0)) == pytest.approx(3.0, abs=1e-15)
+    assert CROSS.distance((3.0, 4.0)) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_distance_to_origin_is_the_norm():
-    assert distance(ORIGIN_2, (3.0, 4.0)) == pytest.approx(5.0, abs=1e-15)
+    assert ORIGIN_2.distance((3.0, 4.0)) == pytest.approx(5.0, abs=1e-15)
     assert ORIGIN_2.is_origin_only
     assert not X_AXIS.is_origin_only
 
