@@ -20,6 +20,7 @@ inconsistency (an arc-order mismatch, which a correct build never emits).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -67,68 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-DEFAULT_CONFIG: dict = {
-    "seed": None,
-    "m": [1, 2],
-    "r": [1, 2, 3, 4],
-    "r_max": 6,
-    "wbar": 1.0,
-    "tolerance": 0.1,
-    "radii": list(lj.DEFAULT_RADII),
-    "grid_per_angle": 720,
-    "hi_dim_directions": 4096,
-    "multistarts": 16,
-    "zero_floor": 1e-100,
-    "arc_count": 50,
-    "arc_max_exponent": 6,
-    "arc_max_terms": 3,
-    "arc_coeff_bound": 9,
-    "ratio_radius": 0.01,
-    "ratio_points": 2000,
-    "relative": {
-        "delta": 0.05,
-        "bands": 8,
-        "samples_per_band": 256,
-        "anchor_directions": 8,
-        "alpha_max": 4,
-        "r": [2],
-        "m": [1],
-        "which": ["kuo", "thom"],
-        "t_grid": ["0", "1/4", "1/2", "3/4", "1"],
-        "deform_germ": None,
-    },
-}
-
-
-def load_config(path: Path | None, seed_flag: int | None) -> dict:
-    """Merge the config file over the defaults; `--seed` wins over both."""
-    config = {k: (dict(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v)
-              for k, v in DEFAULT_CONFIG.items()}
-    if path is not None:
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise CliError(f"config {path} must be a JSON object")
-        for key, value in loaded.items():
-            if key not in config:
-                raise CliError(f"unknown config key {key!r}")
-            if key == "relative":
-                if not isinstance(value, dict):
-                    raise CliError("config key 'relative' must be an object")
-                for rkey, rvalue in value.items():
-                    if rkey not in config["relative"]:
-                        raise CliError(f"unknown config key 'relative.{rkey}'")
-                    config["relative"][rkey] = rvalue
-            else:
-                config[key] = value
-    if seed_flag is not None:
-        config["seed"] = seed_flag
-    _validate_config(config)
-    return config
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -161,42 +100,82 @@ _WHICH = (_list_of(lambda v: v in ("kuo", "thom")), "a nonempty list of 'kuo' an
 _T_GRID = (_list_of(_is_unit_rational, nonempty=False), 'a list of rationals in [0, 1], such as "1/4"')
 _PATH = (lambda v: v is None or isinstance(v, str), "a germ file path or null")
 
-#: Kind and cap (None: no cap) of every config key.  A cap bounds a size
+#: Default, kind and cap (None: no cap) of every config key; the keys of
+#: the `relative` section carry its name as a prefix.  A cap bounds a size
 #: that sets how much work or memory a run takes; it lies above the
 #: default, and a larger value is refused before anything is allocated.
-CONFIG_SCHEMA: dict[str, tuple[tuple, int | None]] = {
-    "seed": (_SEED, None),
-    "m": (_COUNTS, None),
-    "r": (_COUNTS, None),
-    "r_max": (_COUNT, 64),
-    "wbar": (_POSITIVE, None),
-    "tolerance": (_POSITIVE, None),
-    "radii": (_POSITIVES, None),
-    "grid_per_angle": (_COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
-    "hi_dim_directions": (_COUNT, 65536),
-    "multistarts": (_COUNT, 256),
-    "zero_floor": (_POSITIVE, None),
-    "arc_count": (_COUNT0, 10000),
-    "arc_max_exponent": (_COUNT, 64),
-    "arc_max_terms": (_COUNT, None),
-    "arc_coeff_bound": (_COUNT, None),
-    "ratio_radius": (_POSITIVE, None),
-    "ratio_points": (_COUNT, 1000000),
-    "relative.delta": (_POSITIVE, None),
-    "relative.bands": (_COUNT, 32),
-    "relative.samples_per_band": (_COUNT, 16384),
-    "relative.anchor_directions": (_COUNT, 1024),
-    "relative.alpha_max": (_POSITIVE, None),
-    "relative.r": (_COUNTS, None),
-    "relative.m": (_COUNTS, None),
-    "relative.which": (_WHICH, None),
-    "relative.t_grid": (_T_GRID, None),
-    "relative.deform_germ": (_PATH, None),
+CONFIG_SCHEMA: dict[str, tuple] = {
+    "seed": (None, _SEED, None),
+    "m": ([1, 2], _COUNTS, None),
+    "r": ([1, 2, 3, 4], _COUNTS, None),
+    "r_max": (6, _COUNT, 64),
+    "wbar": (1.0, _POSITIVE, None),
+    "tolerance": (0.1, _POSITIVE, None),
+    "radii": (list(lj.DEFAULT_RADII), _POSITIVES, None),
+    "grid_per_angle": (720, _COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
+    "hi_dim_directions": (4096, _COUNT, 65536),
+    "multistarts": (16, _COUNT, 256),
+    "zero_floor": (1e-100, _POSITIVE, None),
+    "arc_count": (50, _COUNT0, 10000),
+    "arc_max_exponent": (6, _COUNT, 64),
+    "arc_max_terms": (3, _COUNT, None),
+    "arc_coeff_bound": (9, _COUNT, None),
+    "ratio_radius": (0.01, _POSITIVE, None),
+    "ratio_points": (2000, _COUNT, 1000000),
+    "relative.delta": (0.05, _POSITIVE, None),
+    "relative.bands": (8, _COUNT, 32),
+    "relative.samples_per_band": (256, _COUNT, 16384),
+    "relative.anchor_directions": (8, _COUNT, 1024),
+    "relative.alpha_max": (4, _POSITIVE, None),
+    "relative.r": ([2], _COUNTS, None),
+    "relative.m": ([1], _COUNTS, None),
+    "relative.which": (["kuo", "thom"], _WHICH, None),
+    "relative.t_grid": (["0", "1/4", "1/2", "3/4", "1"], _T_GRID, None),
+    "relative.deform_germ": (None, _PATH, None),
 }
 
 
+def _defaults() -> dict:
+    config: dict = {}
+    for key, (default, _, _) in CONFIG_SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = copy.deepcopy(default)
+    return config
+
+
+DEFAULT_CONFIG = _defaults()
+
+
+def load_config(path: Path | None, seed_flag: int | None) -> dict:
+    """Merge the config file over the defaults; `--seed` wins over both."""
+    config = _defaults()
+    if path is not None:
+        try:
+            loaded = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise CliError(f"config {path} must be a JSON object")
+        for key, value in loaded.items():
+            if key not in config:
+                raise CliError(f"unknown config key {key!r}")
+            if key == "relative":
+                if not isinstance(value, dict):
+                    raise CliError("config key 'relative' must be an object")
+                for rkey, rvalue in value.items():
+                    if rkey not in config["relative"]:
+                        raise CliError(f"unknown config key 'relative.{rkey}'")
+                    config["relative"][rkey] = rvalue
+            else:
+                config[key] = value
+    if seed_flag is not None:
+        config["seed"] = seed_flag
+    _validate_config(config)
+    return config
+
+
 def _validate_config(config: dict) -> None:
-    for key, ((test, kind), cap) in CONFIG_SCHEMA.items():
+    for key, (_, (test, kind), cap) in CONFIG_SCHEMA.items():
         section, _, name = key.rpartition(".")
         value = (config[section] if section else config)[name]
         if not test(value):
