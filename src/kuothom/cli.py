@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -288,6 +289,13 @@ _DERIVED = {
 }
 
 
+@functools.cache
+def _report_keys(cls: type) -> tuple[tuple[str, str], ...]:
+    """(report key, attribute) pairs of a dataclass: its fields, then its derived properties."""
+    names = [f.name for f in dataclasses.fields(cls)] + list(_DERIVED.get(cls, ()))
+    return tuple((_RENAMES.get(name, name), name) for name in names)
+
+
 def canonical(obj):
     """Make an object JSON-ready with reproducible float formatting.
 
@@ -308,15 +316,14 @@ def canonical(obj):
         return canonical(float(obj))
     if isinstance(obj, (np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, Polynomial):
-        return obj.to_string()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {_RENAMES.get(f.name, f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        return canonical({**fields, **{name: getattr(obj, name) for name in _DERIVED.get(type(obj), ())}})
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
+    if isinstance(obj, Polynomial):
+        return obj.to_string()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {key: canonical(getattr(obj, attr)) for key, attr in _report_keys(type(obj))}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -357,7 +364,8 @@ def _report_base(command: str, config: dict) -> dict:
     }
 
 
-def _emit(out_dir: Path, stem: str, report: dict, csvs: dict[str, str]) -> None:
+def _emit(out_dir: Path, stem: str, report: dict, csvs: dict[str, str]) -> dict:
+    """Write the CSVs and the report; return the report in its written, canonical form."""
     out_dir.mkdir(parents=True, exist_ok=True)
     names = {}
     for name, content in csvs.items():
@@ -366,10 +374,12 @@ def _emit(out_dir: Path, stem: str, report: dict, csvs: dict[str, str]) -> None:
         names[name] = fname
     report["csv_files"] = names
     path = out_dir / f"{stem}_report.json"
-    path.write_text(json.dumps(canonical(report), sort_keys=True, indent=2) + "\n")
+    written = canonical(report)
+    path.write_text(json.dumps(written, sort_keys=True, indent=2) + "\n")
     for fname in names.values():
         print(f"wrote {out_dir / fname}")
     print(f"wrote {path}")
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +443,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
 def _arcs_results(germ: MapGerm, arcs: Sequence[Arc], ms: Sequence[int]) -> tuple[dict, dict[str, str]]:
     reports = equivalence_probes(germ, arcs, ms)
     csvs = {f"probe_m{rep.m}": probe_csv(rep) for rep in reports}
-    return {"probes": canonical(reports)}, csvs
+    return {"probes": reports}, csvs
 
 
 def _raise_on_mismatch(results: dict, where: str) -> None:
@@ -469,8 +479,8 @@ def cmd_arcs(germ_path: Path, arcs_path: Path | None, config: dict, out: Path) -
     report["germ"] = germ
     report["arcs"] = {"source": source, "list": [a.to_string() for a in arcs]}
     report["results"] = results
-    _emit(out, "arcs", report, csvs)
-    _raise_on_mismatch(results, str(out / "arcs_report.json"))
+    written = _emit(out, "arcs", report, csvs)
+    _raise_on_mismatch(written["results"], str(out / "arcs_report.json"))
     return EXIT_OK
 
 
@@ -541,8 +551,8 @@ def cmd_example(config: dict, out: Path) -> int:
     report["arcs"] = {"source": {"kind": "generated", "count": len(arcs)},
                       "list": [a.to_string() for a in arcs]}
     report["results"] = {"analyze": analyze, "arcs": arc_results, "relative": relative}
-    _emit(out, "example", report, csvs)
-    _raise_on_mismatch(arc_results, str(out / "example_report.json"))
+    written = _emit(out, "example", report, csvs)
+    _raise_on_mismatch(written["results"]["arcs"], str(out / "example_report.json"))
     return EXIT_OK
 
 
