@@ -38,7 +38,7 @@ from . import quantities as qt
 from . import relative as rel
 from .arcs import Arc, ProbeReport, arc_generator, equivalence_probes, parse_arc, probe_csv
 from .lojasiewicz import CAVEAT_NUMERICAL, ScanConfig
-from .poly import ParseError, Polynomial, max_variable_index, parse_polynomial, variable_names
+from .poly import MAX_VARIABLES, ParseError, Polynomial, max_variable_index, parse_polynomial, variable_names
 from .quantities import MapGerm, map_germ
 from .relative import (
     JetMismatchError,
@@ -102,8 +102,9 @@ _T_GRID = (_list_of(_is_unit_rational, nonempty=False), 'a list of rationals in 
 _PATH = (lambda v: v is None or isinstance(v, str), "a germ file path or null")
 
 #: Default, kind and cap (None: no cap) of every config key; the keys of
-#: the `relative` section carry its name as a prefix.  A cap bounds a size
-#: that sets how much work or memory a run takes; it lies above the
+#: the `relative` section carry its name as a prefix.  Scan settings take
+#: their defaults from ScanConfig and RelativeScanConfig.  A cap bounds a
+#: size that sets how much work or memory a run takes; it lies above the
 #: default, and a larger value is refused before anything is allocated.
 CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (None, _SEED, None),
@@ -111,22 +112,22 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "r": ([1, 2, 3, 4], _COUNTS, None),
     "r_max": (6, _COUNT, 64),
     "wbar": (1.0, _POSITIVE, None),
-    "tolerance": (0.1, _POSITIVE, None),
-    "radii": (list(lj.DEFAULT_RADII), _POSITIVES, None),
-    "grid_per_angle": (720, _COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
-    "hi_dim_directions": (4096, _COUNT, 65536),
-    "multistarts": (16, _COUNT, 256),
-    "zero_floor": (1e-100, _POSITIVE, None),
+    "tolerance": (ScanConfig.tolerance, _POSITIVE, None),
+    "radii": (list(ScanConfig.radii), _POSITIVES, None),
+    "grid_per_angle": (ScanConfig.grid_per_angle, _COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
+    "hi_dim_directions": (ScanConfig.hi_dim_directions, _COUNT, 65536),
+    "multistarts": (ScanConfig.multistarts, _COUNT, 256),
+    "zero_floor": (ScanConfig.zero_floor, _POSITIVE, None),
     "arc_count": (50, _COUNT0, 10000),
     "arc_max_exponent": (6, _COUNT, 64),
     "arc_max_terms": (3, _COUNT, None),
     "arc_coeff_bound": (9, _COUNT, None),
     "ratio_radius": (0.01, _POSITIVE, None),
     "ratio_points": (2000, _COUNT, 1000000),
-    "relative.delta": (0.05, _POSITIVE, None),
-    "relative.bands": (8, _COUNT, 32),
-    "relative.samples_per_band": (256, _COUNT, 16384),
-    "relative.anchor_directions": (8, _COUNT, 1024),
+    "relative.delta": (RelativeScanConfig.delta, _POSITIVE, None),
+    "relative.bands": (RelativeScanConfig.bands, _COUNT, 32),
+    "relative.samples_per_band": (RelativeScanConfig.samples_per_band, _COUNT, 16384),
+    "relative.anchor_directions": (RelativeScanConfig.anchor_directions, _COUNT, 1024),
     "relative.alpha_max": (4, _POSITIVE, None),
     "relative.r": ([2], _COUNTS, None),
     "relative.m": ([1], _COUNTS, None),
@@ -233,12 +234,14 @@ def load_germ(path: Path) -> MapGerm:
     nvars: int | None = None
     jet: int | None = None
     lines: list[str] = []
-    for raw in _load_text(path).splitlines():
+    for lineno, raw in enumerate(_load_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("nvars:"):
             nvars = int(line[len("nvars:"):].strip())
+            if not 1 <= nvars <= MAX_VARIABLES:
+                raise ParseError(f"nvars must be between 1 and {MAX_VARIABLES}", lineno, 1)
         elif line.startswith("jet:"):
             jet = int(line[len("jet:"):].strip())
         else:
@@ -394,25 +397,17 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
         for kind, table in (("p_minors", cache.p_minors), ("thom_minors", cache.thom_minors))
     }
     symbolic = {"kuo_m2": qt.kuo_polynomial(germ, 2), "thom_m2": qt.thom_polynomial(germ, 2)}
-    scans = {
-        "kuo_m1": lj.scan_quantity(germ, "kuo", 1, cfg),
-        "kuo_m2": lj.scan_quantity(germ, "kuo", 2, cfg),
-        "thom_m2": lj.scan_quantity(germ, "thom", 2, cfg),
-    }
-    if germ.p == 1:
-        scans["gradient"] = lj.scan_gradient_norm(germ, cfg)
+    conditions = lj.conditions_for(germ)
+    scans = {c.scan: c.scan_fn(germ, cfg) for c in conditions}
 
     verdicts = []
     csvs: dict[str, str] = {}
     for r in config["r"]:
-        if germ.p == 1:
-            verdicts.append(lj.verdict_from_scan(f"kuiper-kuo r={r}", scans["gradient"], r - 1, cfg))
         horn = lj.check_kuo(germ, r, config["wbar"], cfg)
-        verdicts.append(horn)
         csvs[f"scan_horn_r{r}"] = _scan_csv(horn.scan)
-        verdicts.append(lj.verdict_from_scan(f"ktilde r={r}", scans["kuo_m1"], r, cfg))
-        verdicts.append(lj.verdict_from_scan(f"thom-inequality r={r}", scans["thom_m2"], 2 * r, cfg))
-        verdicts.append(lj.verdict_from_scan(f"kuo-inequality r={r}", scans["kuo_m2"], 2 * r, cfg))
+        at_r = [c.verdict(scans[c.scan], r, cfg) for c in conditions]
+        at_r.insert(int(germ.p == 1), horn)  # the horn check follows kuiper-kuo, if there is one
+        verdicts += at_r
     for name, scan in scans.items():
         csvs[f"scan_{name}"] = _scan_csv(scan)
 
@@ -422,7 +417,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
         "verdicts": verdicts,
     }
     if germ.p == 1:
-        results["sufficiency_degree"] = lj.sufficiency_degree_estimate(germ, config["r_max"], cfg)
+        results["sufficiency_degree"] = lj.sufficiency_degree_estimate(scans["gradient"], config["r_max"], cfg)
 
     ratios = {}
     for m in config["m"]:

@@ -215,44 +215,34 @@ def _refine(
                 return 1e100 * (1.0 + bad)
         return scalar(x)
 
+    # params -> point on the sphere: angles for n = 2, 3, a direction for n >= 4
     if n == 2:
-        def objective(params: np.ndarray) -> float:
+        def point(params: np.ndarray) -> tuple[float, ...] | None:
             th = params[0]
-            return wrapped((radius * math.cos(th), radius * math.sin(th)))
+            return (radius * math.cos(th), radius * math.sin(th))
 
         x0 = np.array([math.atan2(start[1], start[0])])
     elif n == 3:
-        def objective(params: np.ndarray) -> float:
+        def point(params: np.ndarray) -> tuple[float, ...] | None:
             th, ph = params
             st = math.sin(th)
-            return wrapped((radius * st * math.cos(ph), radius * st * math.sin(ph), radius * math.cos(th)))
+            return (radius * st * math.cos(ph), radius * st * math.sin(ph), radius * math.cos(th))
 
         x0 = np.array([math.acos(max(-1.0, min(1.0, start[2]))), math.atan2(start[1], start[0])])
     else:
-        def objective(params: np.ndarray) -> float:
+        def point(params: np.ndarray) -> tuple[float, ...] | None:
             length = math.sqrt(float(np.dot(params, params)))
-            if length < 1e-9:
-                return 1e100
-            return wrapped(tuple(radius * v / length for v in params))
+            return tuple(radius * v / length for v in params) if length >= 1e-9 else None
 
         x0 = np.asarray(start, dtype=float)
 
+    def objective(params: np.ndarray) -> float:
+        pt = point(params)
+        return 1e100 if pt is None else wrapped(pt)
+
     res = optimize.minimize(objective, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-    params = res.x
-    if n == 2:
-        pt = (radius * math.cos(params[0]), radius * math.sin(params[0]))
-    elif n == 3:
-        st = math.sin(params[0])
-        pt = (
-            radius * st * math.cos(params[1]),
-            radius * st * math.sin(params[1]),
-            radius * math.cos(params[0]),
-        )
-    else:
-        length = math.sqrt(float(np.dot(params, params)))
-        pt = tuple(radius * v / length for v in params) if length > 1e-9 else tuple(start * radius)
-    value = wrapped(pt)
-    return value, pt
+    pt = point(res.x) or tuple(start * radius)
+    return wrapped(pt), pt
 
 
 def min_on_sphere(
@@ -338,21 +328,6 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentEstimate:
     )
 
 
-def estimate_exponent(scan: RadialScan, zero_floor: float = 1e-100) -> ExponentEstimate | None:
-    """Fit the decay exponent of a scan, ignoring vanished spheres.
-
-    Returns None when fewer than two spheres give a positive minimum.
-    """
-    pairs = [
-        (r, v)
-        for r, v in zip(scan.radii, scan.min_values)
-        if v is not None and v > zero_floor
-    ]
-    if len(pairs) < 2:
-        return None
-    return fit_loglog([p[0] for p in pairs], [p[1] for p in pairs])
-
-
 def decide_rate(
     points: Sequence[tuple[float, float]],
     target: float,
@@ -425,7 +400,7 @@ def verdict_from_scan(
 
 
 # ---------------------------------------------------------------------------
-# Quantity scans and the named condition checks
+# Quantity scans and the conditions they decide
 
 
 def scan_gradient_norm(germ: MapGerm, cfg: ScanConfig) -> RadialScan:
@@ -469,19 +444,52 @@ def _check_r(r: int) -> None:
         raise ValueError("r must be a positive integer")
 
 
-def check_kuiper_kuo(germ: MapGerm, r: int, cfg: ScanConfig) -> ConditionVerdict:
-    """Gradient growth |grad f| >= C |x|^(r-1) near 0 (single equation)."""
+@dataclass(frozen=True)
+class Condition:
+    """F >= C * |x|^target(r) near 0, decided for every r on one scan of F."""
+
+    name: str
+    scan: str  # the name of the scan of F in reports
+    scan_fn: Callable[[MapGerm, ScanConfig], RadialScan]
+    target: Callable[[int], int]
+
+    def verdict(self, scan: RadialScan, r: int, cfg: ScanConfig) -> ConditionVerdict:
+        return verdict_from_scan(f"{self.name} r={r}", scan, self.target(r), cfg)
+
+
+#: The conditions whose scan does not depend on r, in report order.
+CONDITIONS: dict[str, Condition] = {c.name: c for c in (
+    # |grad f| >= C |x|^(r-1), single equations only
+    Condition("kuiper-kuo", "gradient", scan_gradient_norm, lambda r: r - 1),
+    # |x| * (minor sum) + |f(x)| >= C |x|^r: the Kuo quantity at m = 1
+    Condition("ktilde", "kuo_m1", lambda germ, cfg: scan_quantity(germ, "kuo", 1, cfg), lambda r: r),
+    # the paired inequalities: Thom and Kuo quantities at m = 2 against |x|^(2r)
+    Condition("thom-inequality", "thom_m2", lambda germ, cfg: scan_quantity(germ, "thom", 2, cfg),
+              lambda r: 2 * r),
+    Condition("kuo-inequality", "kuo_m2", lambda germ, cfg: scan_quantity(germ, "kuo", 2, cfg),
+              lambda r: 2 * r),
+)}
+
+
+def conditions_for(germ: MapGerm) -> list[Condition]:
+    """The conditions that apply to a germ: kuiper-kuo needs a single equation."""
+    return [c for c in CONDITIONS.values() if germ.p == 1 or c.name != "kuiper-kuo"]
+
+
+def check_condition(germ: MapGerm, name: str, r: int, cfg: ScanConfig) -> ConditionVerdict:
+    """Decide one condition of CONDITIONS at one r, scanning its function."""
     _check_r(r)
-    scan = scan_gradient_norm(germ, cfg)
-    return verdict_from_scan(f"kuiper-kuo r={r}", scan, r - 1, cfg)
+    condition = CONDITIONS[name]
+    return condition.verdict(condition.scan_fn(germ, cfg), r, cfg)
 
 
 def check_kuo(germ: MapGerm, r: int, wbar: float, cfg: ScanConfig) -> ConditionVerdict:
     """Minor growth >= C |x|^(r-1), required only inside the horn of width wbar.
 
-    For p == 1 the sum of absolute 1-minors is the l1 gradient norm, which
-    bounds the Euclidean norm both ways, so verdicts at exponent level are
-    unaffected by the choice.
+    The horn depends on r, so so does the scan.  For p == 1 the sum of
+    absolute 1-minors is the l1 gradient norm, which bounds the Euclidean
+    norm both ways, so verdicts at exponent level are unaffected by the
+    choice.
     """
     _check_r(r)
     constraint = HornConstraint(germ, r, wbar)
@@ -489,39 +497,11 @@ def check_kuo(germ: MapGerm, r: int, wbar: float, cfg: ScanConfig) -> ConditionV
     return verdict_from_scan(f"kuo r={r} wbar={wbar:g}", scan, r - 1, cfg, constrained=True)
 
 
-def check_condition_ktilde(germ: MapGerm, r: int, cfg: ScanConfig) -> ConditionVerdict:
-    """|x| * (minor sum) + |f(x)| >= C |x|^r, scanned through the Kuo quantity at m = 1."""
-    _check_r(r)
-    scan = scan_quantity(germ, "kuo", 1, cfg)
-    return verdict_from_scan(f"ktilde r={r}", scan, r, cfg)
-
-
-def check_thom_inequality(germ: MapGerm, r: int, cfg: ScanConfig) -> ConditionVerdict:
-    """Thom quantity at m = 2 against |x|^(2r)."""
-    _check_r(r)
-    scan = scan_quantity(germ, "thom", 2, cfg)
-    return verdict_from_scan(f"thom-inequality r={r}", scan, 2 * r, cfg)
-
-
-def check_kuo_inequality(germ: MapGerm, r: int, cfg: ScanConfig) -> ConditionVerdict:
-    """Kuo quantity at m = 2 against |x|^(2r); the partner of check_thom_inequality."""
-    _check_r(r)
-    scan = scan_quantity(germ, "kuo", 2, cfg)
-    return verdict_from_scan(f"kuo-inequality r={r}", scan, 2 * r, cfg)
-
-
-def sufficiency_degree_estimate(germ: MapGerm, r_max: int, cfg: ScanConfig) -> int | None:
-    """Smallest r in 1..r_max whose gradient-growth verdict holds, else None.
-
-    The underlying scan does not depend on r, so it is performed once.
-    """
+def sufficiency_degree_estimate(gradient: RadialScan, r_max: int, cfg: ScanConfig) -> int | None:
+    """Smallest r in 1..r_max at which kuiper-kuo holds on a gradient scan, else None."""
     _check_r(r_max)
-    scan = scan_gradient_norm(germ, cfg)
-    for r in range(1, r_max + 1):
-        verdict = verdict_from_scan(f"kuiper-kuo r={r}", scan, r - 1, cfg)
-        if verdict.holds:
-            return r
-    return None
+    kuiper_kuo = CONDITIONS["kuiper-kuo"]
+    return next((r for r in range(1, r_max + 1) if kuiper_kuo.verdict(gradient, r, cfg).holds), None)
 
 
 # ---------------------------------------------------------------------------

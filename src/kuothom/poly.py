@@ -13,7 +13,10 @@ the origin) get a lighter type, UniPoly, indexed by power of t.
 Text grammar (parse_polynomial / parse_unipoly): variables are x1..xn,
 with x, y, z, w accepted as aliases for x1..x4; literals are integers or
 a/b rationals; operators are + - * ^ with parentheses; whitespace is
-insignificant.  There is no implicit multiplication.
+insignificant.  There is no implicit multiplication.  Parsed text may name
+at most MAX_VARIABLES variables, and no product or power in it may pass
+total degree MAX_DEGREE (nor an exponent pass it); larger input is refused
+before it is built.
 
 Term order everywhere (printing, documented float summation) is graded
 lexicographic, highest first.
@@ -33,6 +36,11 @@ Scalar = Union[int, Fraction]
 #: Order of a zero polynomial (total order semantics: INF + k == INF,
 #: min(INF, q) == q, m * INF == INF for m > 0).
 INF = math.inf
+
+#: Input caps of the text grammar.  Every minor of n variables is built
+#: symbolically, and exact arc orders recurse once per power of a variable.
+MAX_VARIABLES = 8
+MAX_DEGREE = 256
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 _ALIASES = {name: i for i, name in enumerate(_ALIAS_NAMES)}
@@ -692,6 +700,8 @@ def _variable_index(name: str, line: int, col: int) -> int:
         return _ALIASES[name]
     if name.startswith("x") and name[1:].isdigit():
         idx = int(name[1:])
+        if idx > MAX_VARIABLES:
+            raise ParseError(f"variable {name!r} is above the cap of {MAX_VARIABLES} variables", line, col)
         if idx >= 1:
             return idx - 1
     raise ParseError(f"unknown variable {name!r}", line, col)
@@ -748,8 +758,10 @@ class _Parser:
     def term(self) -> Polynomial:
         value = self.factor()
         while self.peek()[0] == "STAR":
-            self.advance()
-            value = value * self.factor()
+            tok = self.advance()
+            rhs = self.factor()
+            self.check_degree(value.total_degree + rhs.total_degree, tok)
+            value = value * rhs
         return value
 
     def factor(self) -> Polynomial:
@@ -763,8 +775,14 @@ class _Parser:
         if self.peek()[0] == "CARET":
             self.advance()
             tok = self.expect("NUMBER")
-            return base ** int(tok[1])
+            exponent = int(tok[1])
+            self.check_degree(max(base.total_degree, 1) * exponent, tok)  # caps the exponent too
+            return base**exponent
         return base
+
+    def check_degree(self, degree: int, tok: tuple[str, str, int, int]) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} is above the cap of {MAX_DEGREE}", tok[2], tok[3])
 
     def atom(self) -> Polynomial:
         tok = self.peek()

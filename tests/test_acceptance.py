@@ -13,6 +13,7 @@ import numpy as np
 
 from kuothom import (
     compose_arc,
+    equivalence_probes,
     kuo_m1_at_least,
     kuo_order,
     kuo_polynomial,
@@ -25,7 +26,6 @@ from kuothom import relative as rel
 from kuothom.cli import main
 from kuothom.lojasiewicz import (
     ScanConfig,
-    estimate_exponent,
     scan_gradient_norm,
     scan_quantity,
     sufficiency_degree_estimate,
@@ -92,12 +92,12 @@ def test_criterion_03_arc_orders_agree_at_m1():
     mismatches = []
     total = 0
     for i, germ in enumerate(corpus_germs()):
-        for arc in corpus_arcs(i, germ.n):
+        arcs = corpus_arcs(i, germ.n)
+        (probe,) = equivalence_probes(germ, arcs, [1])
+        for arc, row in zip(arcs, probe.rows):
             total += 1
-            ok = kuo_order(germ, 1, arc)
-            ot = thom_order(germ, 1, arc)
-            if ok != ot:
-                mismatches.append((i, arc.to_string(), ok, ot))
+            if row.ord_kuo != row.ord_thom:
+                mismatches.append((i, arc.to_string(), row.ord_kuo, row.ord_thom))
     elapsed = time.perf_counter() - t0
     assert total == 10_000
     assert mismatches == []
@@ -106,15 +106,18 @@ def test_criterion_03_arc_orders_agree_at_m1():
 
 def test_criterion_04_orders_scale_linearly_in_m():
     violations = []
+    ms = (1, 2, 3, 5)
     for i, germ in enumerate(corpus_germs()):
-        for arc in corpus_arcs(i, germ.n):
-            base_k = kuo_order(germ, 1, arc)
-            base_t = thom_order(germ, 1, arc)
-            for m in (1, 2, 3, 5):
+        arcs = corpus_arcs(i, germ.n)
+        probes = equivalence_probes(germ, arcs, ms)
+        for j, arc in enumerate(arcs):
+            base_k = probes[0].rows[j].ord_kuo
+            base_t = probes[0].rows[j].ord_thom
+            for m, probe in zip(ms, probes):
                 # inf scales to inf; finite orders scale exactly.
-                if kuo_order(germ, m, arc) != m * base_k:
+                if probe.rows[j].ord_kuo != m * base_k:
                     violations.append((i, "kuo", m, arc.to_string()))
-                if thom_order(germ, m, arc) != m * base_t:
+                if probe.rows[j].ord_thom != m * base_t:
                     violations.append((i, "thom", m, arc.to_string()))
     assert violations == []
 
@@ -162,8 +165,9 @@ def test_criterion_06_gradient_slopes_and_sufficiency():
     for text, want_slope, want_degree in cases:
         germ = mk([text], 2)
         t0 = time.perf_counter()
-        estimate = estimate_exponent(scan_gradient_norm(germ, cfg))
-        degree = sufficiency_degree_estimate(germ, 6, cfg)
+        scan = scan_gradient_norm(germ, cfg)
+        estimate = verdict_from_scan("gradient", scan, want_slope, cfg).estimate
+        degree = sufficiency_degree_estimate(scan, 6, cfg)
         elapsed = time.perf_counter() - t0
         assert estimate is not None
         assert abs(estimate.slope - want_slope) <= 0.05

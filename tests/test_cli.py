@@ -14,6 +14,7 @@ import pytest
 
 import kuothom
 import kuothom.arcs
+import kuothom.quantities
 from kuothom import (
     CAVEAT_NUMERICAL,
     kuo_polynomial,
@@ -124,6 +125,22 @@ def test_analyze_identity_map(ws):
     assert not any(c.startswith("kuiper") for c in conditions)
 
 
+def test_analyze_scans_the_gradient_once(ws, monkeypatch):
+    # kuiper-kuo at every r and the sufficiency degree read one gradient
+    # scan: one grid evaluation per sphere of the ladder
+    calls = []
+    real = kuothom.quantities.gradient_norm_values
+
+    def counting(germ, pts):
+        calls.append(len(pts))
+        return real(germ, pts)
+
+    monkeypatch.setattr(kuothom.quantities, "gradient_norm_values", counting)
+    assert run_analyze(ws, "x^3 - 3*x*y^2\n") == 0
+    assert len(calls) == len(FAST_CONFIG["radii"])
+    assert read_report(ws, "analyze")["results"]["sufficiency_degree"] == 3
+
+
 # -- germ files ------------------------------------------------------------------
 
 
@@ -158,6 +175,25 @@ def test_empty_germ_file_is_invalid_usage(ws, capsys):
 def test_germ_parse_error_reports_position(ws, capsys):
     assert run_analyze(ws, "2x\n") == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_germ_and_arc_files_above_the_caps_are_refused(ws, capsys):
+    # composing x^1500 along an arc recurses once per power, past Python's
+    # recursion limit; the parser refuses it, and every input here, before
+    # it is built
+    arcs = ws / "arcs.txt"
+    for germ_text, arc_text, message in (
+        ("x^1500 + y^1500\n", "t; -t\n", "degree 1500 is above the cap of 256"),
+        ("nvars: 1000000000\nx\n", "t\n", "nvars must be between 1 and 8 (line 1"),
+        ("x1000000000\n", "t\n", "above the cap of 8 variables"),
+        ("x - y^2\n", "t^1000000000; t\n", "degree 1000000000 is above the cap of 256"),
+    ):
+        germ = germ_file(ws, germ_text)
+        arcs.write_text(arc_text)
+        code = main(["arcs", "--germ", str(germ), "--arcs", str(arcs), "--out", str(ws / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (ws / "out").exists()
 
 
 # -- arcs -----------------------------------------------------------------------

@@ -8,12 +8,8 @@ import pytest
 from kuothom import (
     CAVEAT_NUMERICAL,
     ScanConfig,
-    check_condition_ktilde,
-    check_kuiper_kuo,
+    check_condition,
     check_kuo,
-    check_kuo_inequality,
-    check_thom_inequality,
-    estimate_exponent,
     fit_loglog,
     map_germ,
     min_on_sphere,
@@ -23,7 +19,13 @@ from kuothom import (
     sufficiency_degree_estimate,
     Polynomial,
 )
-from kuothom.lojasiewicz import HornConstraint, scan_minor_sum, scan_quantity
+from kuothom.lojasiewicz import (
+    HornConstraint,
+    scan_gradient_norm,
+    scan_minor_sum,
+    scan_quantity,
+    verdict_from_scan,
+)
 
 # tests trade grid density for speed; the defaults are denser
 FAST = ScanConfig(grid_per_angle=180, multistarts=4, hi_dim_directions=512)
@@ -101,38 +103,42 @@ def test_fit_loglog_exact_power_law():
 )
 def test_estimated_slope_matches_known_power(factor, power):
     scan = scan_spheres(lambda pts: factor * norm_rows(pts) ** power, 2, FAST)
-    est = estimate_exponent(scan)
+    est = verdict_from_scan("power", scan, power, FAST).estimate
     assert est.slope == pytest.approx(power, abs=0.05)
     assert est.r_squared >= 0.999
 
 
 def test_estimate_skips_zero_spheres():
     scan = scan_spheres(lambda pts: norm_rows(pts) - norm_rows(pts), 2, FAST)
-    assert estimate_exponent(scan) is None
+    verdict = verdict_from_scan("zero", scan, 1, FAST)
+    assert verdict.estimate is None
+    assert verdict.diagnostics == (
+        "minimum vanishes on 8 of 8 scanned spheres; no positive constant exists at those scales",
+    )
 
 
 # -- Kuiper-Kuo ---------------------------------------------------------------
 
 
 def test_kuiper_kuo_round_quadric():
-    verdict = check_kuiper_kuo(ROUND_GERM, 2, FAST)
+    verdict = check_condition(ROUND_GERM, "kuiper-kuo", 2, FAST)
     assert verdict.holds
     assert verdict.estimate.slope == pytest.approx(1.0, abs=0.05)
     assert verdict.caveat == CAVEAT_NUMERICAL
 
 
 def test_kuiper_kuo_triple_point():
-    assert check_kuiper_kuo(TRIPLE_GERM, 3, FAST).holds
-    verdict = check_kuiper_kuo(TRIPLE_GERM, 2, FAST)
+    assert check_condition(TRIPLE_GERM, "kuiper-kuo", 3, FAST).holds
+    verdict = check_condition(TRIPLE_GERM, "kuiper-kuo", 2, FAST)
     assert not verdict.holds
     assert verdict.estimate.slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_kuiper_kuo_needs_scalar_target():
     with pytest.raises(ValueError):
-        check_kuiper_kuo(PLANE_GERM, 2, FAST)
+        check_condition(PLANE_GERM, "kuiper-kuo", 2, FAST)
     with pytest.raises(ValueError):
-        check_kuiper_kuo(ROUND_GERM, 0, FAST)
+        check_condition(ROUND_GERM, "kuiper-kuo", 0, FAST)
 
 
 # -- horn membership and the Kuo condition ----------------------------------------
@@ -196,18 +202,18 @@ def test_horn_keeps_only_points_near_zero_locus():
 
 
 def test_ktilde_round_quadric():
-    verdict = check_condition_ktilde(ROUND_GERM, 2, FAST)
+    verdict = check_condition(ROUND_GERM, "ktilde", 2, FAST)
     assert verdict.holds
     assert verdict.estimate.slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_ktilde_parabola():
-    assert check_condition_ktilde(mk(["x - y^2"], 2), 1, FAST).holds
+    assert check_condition(mk(["x - y^2"], 2), "ktilde", 1, FAST).holds
 
 
 def test_ktilde_monotone_in_r():
     germ = mk(["x^2 + y^3"], 2)
-    verdicts = [check_condition_ktilde(germ, r, FAST).holds for r in range(1, 6)]
+    verdicts = [check_condition(germ, "ktilde", r, FAST).holds for r in range(1, 6)]
     assert verdicts == [False, False, True, True, True]
     for weaker, stronger in zip(verdicts, verdicts[1:]):
         assert stronger or not weaker
@@ -217,22 +223,22 @@ def test_ktilde_monotone_in_r():
 
 
 def test_thom_inequality_round_quadric():
-    verdict = check_thom_inequality(ROUND_GERM, 2, FAST)
+    verdict = check_condition(ROUND_GERM, "thom-inequality", 2, FAST)
     assert verdict.holds
     assert verdict.estimate.slope == pytest.approx(4.0, abs=0.1)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_paired_inequalities_agree(r):
-    left = check_kuo_inequality(PLANE_GERM, r, FAST)
-    right = check_thom_inequality(PLANE_GERM, r, FAST)
+    left = check_condition(PLANE_GERM, "kuo-inequality", r, FAST)
+    right = check_condition(PLANE_GERM, "thom-inequality", r, FAST)
     assert left.holds == right.holds
 
 
 def test_zero_map_fails_every_target():
     germ = map_germ([Polynomial.zero(2)])
     for r in (1, 3):
-        verdict = check_thom_inequality(germ, r, FAST)
+        verdict = check_condition(germ, "thom-inequality", r, FAST)
         assert not verdict.holds
         assert verdict.estimate is None
         assert verdict.diagnostics
@@ -242,14 +248,14 @@ def test_zero_map_fails_every_target():
 
 
 def test_sufficiency_degree_examples():
-    assert sufficiency_degree_estimate(ROUND_GERM, 6, FAST) == 2
-    assert sufficiency_degree_estimate(TRIPLE_GERM, 6, FAST) == 3
-    assert sufficiency_degree_estimate(mk(["x"], 2), 6, FAST) == 1
+    assert sufficiency_degree_estimate(scan_gradient_norm(ROUND_GERM, FAST), 6, FAST) == 2
+    assert sufficiency_degree_estimate(scan_gradient_norm(TRIPLE_GERM, FAST), 6, FAST) == 3
+    assert sufficiency_degree_estimate(scan_gradient_norm(mk(["x"], 2), FAST), 6, FAST) == 1
 
 
 def test_sufficiency_degree_can_be_undetermined():
     germ = map_germ([Polynomial.zero(2)])
-    assert sufficiency_degree_estimate(germ, 4, FAST) is None
+    assert sufficiency_degree_estimate(scan_gradient_norm(germ, FAST), 4, FAST) is None
 
 
 # -- ratio stability ---------------------------------------------------------------
@@ -273,8 +279,8 @@ def test_ratio_probe_rejects_identically_zero_maps():
 
 
 def test_verdicts_are_deterministic():
-    a = check_kuiper_kuo(TRIPLE_GERM, 3, FAST)
-    b = check_kuiper_kuo(TRIPLE_GERM, 3, FAST)
+    a = check_condition(TRIPLE_GERM, "kuiper-kuo", 3, FAST)
+    b = check_condition(TRIPLE_GERM, "kuiper-kuo", 3, FAST)
     assert a == b
 
 

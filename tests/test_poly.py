@@ -18,6 +18,7 @@ from kuothom import (
     parse_polynomial,
     parse_unipoly,
 )
+from kuothom.poly import MAX_DEGREE, MAX_VARIABLES
 
 
 def P(text: str, nvars: int | None = None) -> Polynomial:
@@ -331,6 +332,30 @@ def test_parse_unknown_variable():
         P("q + 1")
     with pytest.raises(ParseError):
         P("x3", 2)
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("x^1500 + y^1500", 3),  # the power is refused before it is formed
+        ("x^200*y^100", 6),  # and so is a product
+        ("2^300", 3),  # an exponent above the cap, whatever the base
+        ("x9", 1),
+        ("x1000000000", 1),
+    ],
+)
+def test_parse_refuses_input_above_the_caps(text, column):
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert info.value.column == column
+
+
+def test_parse_caps_cover_arc_text_and_admit_their_limits():
+    with pytest.raises(ParseError):
+        parse_unipoly("t^1000000000")
+    assert parse_unipoly(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert P(f"x^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2}").total_degree == MAX_DEGREE
+    assert P(f"x{MAX_VARIABLES}").nvars == MAX_VARIABLES
 
 
 def test_unary_minus_binds_below_power():

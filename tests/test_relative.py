@@ -19,7 +19,7 @@ from kuothom import (
     ScanConfig,
     UnsupportedSigmaError,
     check_compatibility,
-    check_condition_ktilde,
+    check_condition,
     check_relative,
     deformation,
     ideal_generators_kuo,
@@ -282,7 +282,7 @@ def test_relative_kuo_fails_at_linear_rate():
 def test_relative_reduces_to_global_check_at_the_origin():
     germ = mk(["x^2 + y^2"], 2)
     relative = check_relative(germ, "kuo", 2, 1, ORIGIN_2, FAST)
-    standard = check_condition_ktilde(germ, 2, ScanConfig(grid_per_angle=180, multistarts=4))
+    standard = check_condition(germ, "ktilde", 2, ScanConfig(grid_per_angle=180, multistarts=4))
     assert relative.holds and standard.holds
     assert abs(relative.estimate.slope - standard.estimate.slope) <= 0.1
 
