@@ -189,12 +189,11 @@ class HornConstraint:
         self.wbar = wbar
 
     def mask(self, pts: np.ndarray, radius: float) -> np.ndarray:
-        return qt.component_norm_values(self.germ, pts) <= self.wbar * radius**self.r
+        return qt.component_norm(self.germ, pts) <= self.wbar * radius**self.r
 
     def violation(self, x: Sequence[float], radius: float) -> float:
         bound = self.wbar * radius**self.r
-        value = math.hypot(*(c.eval_float(x) for c in self.germ.components))
-        return max(0.0, (value - bound) / bound)
+        return max(0.0, (qt.component_norm(self.germ, x) - bound) / bound)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ class HornConstraint:
 
 
 def _refine(
-    scalar: Callable[[Sequence[float]], float],
+    F: Callable,
     n: int,
     radius: float,
     start: np.ndarray,
@@ -213,7 +212,7 @@ def _refine(
             bad = penalty(x, radius)
             if bad > 0.0:
                 return 1e100 * (1.0 + bad)
-        return scalar(x)
+        return F(x)
 
     # params -> point on the sphere: angles for n = 2, 3, a direction for n >= 4
     if n == 2:
@@ -246,22 +245,20 @@ def _refine(
 
 
 def min_on_sphere(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable,
     n: int,
     radius: float,
     cfg: ScanConfig,
     constraint: HornConstraint | None = None,
-    scalar: Callable[[Sequence[float]], float] | None = None,
 ) -> SphereMinimum:
     """Minimize F over the sphere of the given radius.
 
-    F is vectorized over rows; `scalar` is an optional cheap single-point
-    version used by the descent stage (defaults to wrapping F).
+    F takes an (N, n) array of points to the array of its values at the
+    rows, and one point, a tuple of n floats, to its value.  The grid stage
+    calls it on the array of grid points, the descent on single points.
     """
     if radius <= 0:
         raise ValueError("the sphere radius must be positive")
-    if scalar is None:
-        scalar = lambda x: float(F(np.asarray([x], dtype=float))[0])  # noqa: E731
     dirs = _directions(n, cfg.grid_per_angle, cfg.hi_dim_directions, cfg.seed)
     pts = radius * dirs
     total = len(pts)
@@ -278,7 +275,7 @@ def min_on_sphere(
     if n > 1:
         penalty = constraint.violation if constraint is not None else None
         for idx in order[: cfg.multistarts]:
-            value, pt = _refine(scalar, n, radius, pts[idx] / radius, penalty)
+            value, pt = _refine(F, n, radius, pts[idx] / radius, penalty)
             if value < best_value:
                 best_value, best_point = value, tuple(pt)
     return SphereMinimum(
@@ -291,14 +288,13 @@ def min_on_sphere(
 
 
 def scan_spheres(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable,
     n: int,
     cfg: ScanConfig,
     constraint: HornConstraint | None = None,
-    scalar: Callable[[Sequence[float]], float] | None = None,
 ) -> RadialScan:
-    """Minimize F over every sphere in the configured ladder."""
-    rows = [min_on_sphere(F, n, r, cfg, constraint, scalar) for r in cfg.radii]
+    """Minimize F (as in min_on_sphere) over every sphere in the configured ladder."""
+    rows = [min_on_sphere(F, n, r, cfg, constraint) for r in cfg.radii]
     return RadialScan(
         radii=cfg.radii,
         min_values=tuple(row.value for row in rows),
@@ -406,37 +402,19 @@ def verdict_from_scan(
 def scan_gradient_norm(germ: MapGerm, cfg: ScanConfig) -> RadialScan:
     if germ.p != 1:
         raise ValueError("gradient scans require a single-component germ")
-    return scan_spheres(
-        lambda pts: qt.gradient_norm_values(germ, pts),
-        germ.n,
-        cfg,
-        scalar=lambda x: math.hypot(*(m.eval_float(x) for _, m in qt.build_minors(germ).p_minors)),
-    )
+    return scan_spheres(lambda x: qt.gradient_norm(germ, x), germ.n, cfg)
 
 
 def scan_minor_sum(germ: MapGerm, cfg: ScanConfig, constraint: HornConstraint | None = None) -> RadialScan:
-    cache = qt.build_minors(germ)
-    return scan_spheres(
-        lambda pts: qt.minor_abs_sum_values(germ, pts),
-        germ.n,
-        cfg,
-        constraint=constraint,
-        scalar=lambda x: sum(abs(m.eval_float(x)) for _, m in cache.p_minors),
-    )
+    return scan_spheres(lambda x: qt.kuo_minor_sum(germ, 1, x), germ.n, cfg, constraint=constraint)
 
 
 def scan_quantity(germ: MapGerm, which: str, m: int, cfg: ScanConfig) -> RadialScan:
     """Radial scan of the Kuo or Thom quantity."""
     if which not in qt.QUANTITIES:
         raise ValueError(f"unknown quantity {which!r}; expected 'kuo' or 'thom'")
-    vector = qt.QUANTITIES[which]
-    point = qt.kuo_value if which == "kuo" else qt.thom_value
-    return scan_spheres(
-        lambda pts: vector(germ, m, pts),
-        germ.n,
-        cfg,
-        scalar=lambda x: point(germ, m, x),
-    )
+    quantity = qt.QUANTITIES[which]
+    return scan_spheres(lambda x: quantity(germ, m, x), germ.n, cfg)
 
 
 def _check_r(r: int) -> None:
@@ -553,8 +531,8 @@ def ratio_stability_probe(
         lengths[lengths < 1e-12] = 1.0
         radii = ball_radius * rng.uniform(size=points) ** (1.0 / germ.n)
         pts = dirs / lengths[:, None] * radii[:, None]
-        kv = qt.kuo_values(germ, m, pts)
-        tv = qt.thom_values(germ, m, pts)
+        kv = qt.kuo_value(germ, m, pts)
+        tv = qt.thom_value(germ, m, pts)
         mask = (kv > 0.0) & (tv > 0.0)
         if not np.any(mask):
             raise ValueError("both quantities vanish at every sampled point")

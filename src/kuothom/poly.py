@@ -15,8 +15,9 @@ with x, y, z, w accepted as aliases for x1..x4; literals are integers or
 a/b rationals; operators are + - * ^ with parentheses; whitespace is
 insignificant.  There is no implicit multiplication.  Parsed text may name
 at most MAX_VARIABLES variables, and no product or power in it may pass
-total degree MAX_DEGREE (nor an exponent pass it); larger input is refused
-before it is built.
+total degree MAX_DEGREE (nor an exponent pass it), nor have bounds on its
+term count or coefficient bits above MAX_TERMS or MAX_COEFF_BITS; larger
+input is refused before it is built.
 
 Term order everywhere (printing, documented float summation) is graded
 lexicographic, highest first.
@@ -30,6 +31,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
@@ -41,6 +44,11 @@ INF = math.inf
 #: symbolically, and exact arc orders recurse once per power of a variable.
 MAX_VARIABLES = 8
 MAX_DEGREE = 256
+#: Work caps of the text grammar: an exact product or power costs about
+#: its term count times its coefficient bits (see _coeff_bits), so upper
+#: bounds on both are checked before it is formed.
+MAX_TERMS = 1024
+MAX_COEFF_BITS = 4096
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 _ALIASES = {name: i for i, name in enumerate(_ALIAS_NAMES)}
@@ -58,6 +66,11 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
+def _is_rows(values) -> bool:
+    """Whether float input is an (N, n) array of points rather than one point."""
+    return getattr(values, "ndim", 1) == 2
+
+
 def _as_fraction(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -69,7 +82,7 @@ def _as_fraction(value: object) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_hash", "_float")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -95,6 +108,7 @@ class Polynomial:
                         del canonical[mono]
         object.__setattr__(self, "_terms", canonical)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_float", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -252,20 +266,34 @@ class Polynomial:
             total += term
         return total
 
-    def eval_float(self, values: Sequence[float]) -> float:
-        """Evaluate at a float point.
+    def eval_float(self, values):
+        """Evaluate at one float point, or at every row of an (N, nvars) array.
 
-        Terms are summed in descending graded lexicographic order, which is
-        the documented (and deterministic) float evaluation order.
+        Terms are summed in descending graded lexicographic order, the
+        documented (and deterministic) float evaluation order.  A point
+        (any sequence of nvars floats, a 1-D array included) is evaluated
+        with its own scalar arithmetic and gives a float; an array gives
+        the array of its row values, computed with numpy column by column.
         """
-        if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} coordinates, got {len(values)}")
-        total = 0.0
-        for mono, c in self.sorted_terms():
-            term = float(c)
-            for x, e in zip(values, mono):
-                if e:
-                    term *= x**e
+        rows = _is_rows(values)
+        width = values.shape[1] if rows else len(values)
+        if width != self.nvars:
+            raise ValueError(f"expected {self.nvars} coordinates, got {width}")
+        compiled = self._float
+        if compiled is None:
+            compiled = tuple(
+                (float(c), tuple((i, e) for i, e in enumerate(mono) if e))
+                for mono, c in self.sorted_terms()
+            )
+            object.__setattr__(self, "_float", compiled)
+        if rows:
+            total, values = np.zeros(len(values)), np.asarray(values, dtype=float).T
+        else:
+            total = 0.0
+        for coeff, factors in compiled:
+            term = coeff
+            for i, e in factors:
+                term *= values[i] if e == 1 else values[i] ** e
             total += term
         return total
 
@@ -319,6 +347,7 @@ def _raw(nvars: int, terms: dict[Monomial, Fraction]) -> Polynomial:
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_float", None)
     return p
 
 
@@ -718,6 +747,18 @@ def max_variable_index(text: str) -> int | None:
     return best
 
 
+def _coeff_bits(p: Polynomial) -> int:
+    """Bits of the common denominator D of p's coefficients plus bits of
+    their largest numerator over D.  A coefficient of a product is a sum of
+    at most k products, k the shorter factor's term count, so the product
+    needs at most the sum for its two factors plus the bits of k - 1; a
+    power p^e, with k the terms of p, at most e times (bits of p + bits of
+    k - 1)."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    top = max((abs(c.numerator) * (den // c.denominator) for c in p.terms.values()), default=0)
+    return top.bit_length() + den.bit_length()
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int, int]], nvars: int,
                  var_names: Mapping[str, int] | None):
@@ -761,6 +802,9 @@ class _Parser:
             tok = self.advance()
             rhs = self.factor()
             self.check_degree(value.total_degree + rhs.total_degree, tok)
+            shorter = min(len(value.terms), len(rhs.terms))
+            self.check_work(value.total_degree + rhs.total_degree, len(value.terms) * len(rhs.terms),
+                            _coeff_bits(value) + _coeff_bits(rhs) + (shorter - 1).bit_length(), tok)
             value = value * rhs
         return value
 
@@ -777,12 +821,25 @@ class _Parser:
             tok = self.expect("NUMBER")
             exponent = int(tok[1])
             self.check_degree(max(base.total_degree, 1) * exponent, tok)  # caps the exponent too
+            k = len(base.terms)  # the terms of base^e are products of e of its k terms
+            self.check_work(base.total_degree * exponent, math.comb(max(k + exponent - 1, 0), exponent),
+                            exponent * (_coeff_bits(base) + (k - 1).bit_length()), tok)
             return base**exponent
         return base
 
     def check_degree(self, degree: int, tok: tuple[str, str, int, int]) -> None:
         if degree > MAX_DEGREE:
             raise ParseError(f"degree {degree} is above the cap of {MAX_DEGREE}", tok[2], tok[3])
+
+    def check_work(self, degree: int, terms: int, bits: int, tok: tuple[str, str, int, int]) -> None:
+        """Refuse a product or power whose bounds on its term count (at most
+        the monomials of its degree or less) or coefficient bits pass a cap."""
+        terms = min(terms, math.comb(self.nvars + degree, degree))
+        if terms > MAX_TERMS:
+            raise ParseError(f"up to {terms} terms is above the cap of {MAX_TERMS}", tok[2], tok[3])
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(f"up to {bits} coefficient bits is above the cap of {MAX_COEFF_BITS}",
+                             tok[2], tok[3])
 
     def atom(self) -> Polynomial:
         tok = self.peek()

@@ -16,9 +16,9 @@ The proof works with the split
     u = |f(x)|        v = |x| * sum |det J_I(x)|     w = sum |det JT_I(x)|
     h = v + u         g = w + u
 
-whose parts the vectorized helpers give at arrays of points:
-component_norm_values (u), minor_abs_sum_values (v / |x|) and
-thom_abs_sum_values (w).
+whose parts component_norm (u), kuo_minor_sum (v / |x|, at m = 1) and
+thom_minor_sum (w, at m = 1) give at one point or at the rows of an array
+of points, as do the float quantities kuo_value and thom_value.
 
 Minors are exact symbolic polynomials obtained by cofactor expansion; the
 float path evaluates those exact minors and only then takes absolute
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, _is_rows
 
 IndexTuple = tuple[int, ...]
 
@@ -159,37 +159,71 @@ def build_minors(germ: MapGerm) -> MinorCache:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation, float route
+# Float route: one point, or the rows of an (N, n) array of points
+#
+# Each function takes either, like Polynomial.eval_float.  A point keeps
+# Python float arithmetic and an array numpy's; the two round differently
+# in the last bit, so neither is ever converted to the other.
 
 
-def _check_point(germ: MapGerm, x: Sequence[float]) -> None:
-    if len(x) != germ.n:
-        raise ValueError(f"point has {len(x)} coordinates, germ expects {germ.n}")
+def _zero(x):
+    return np.zeros(len(x)) if _is_rows(x) else 0.0
 
 
-def _component_norm(germ: MapGerm, x: Sequence[float]) -> float:
-    return math.hypot(*(c.eval_float(x) for c in germ.components))
+def _check_point(germ: MapGerm, x) -> None:
+    width = x.shape[1] if _is_rows(x) else len(x)
+    if width != germ.n:
+        raise ValueError(f"point has {width} coordinates, germ expects {germ.n}")
 
 
-def kuo_value(germ: MapGerm, m: int, x: Sequence[float]) -> float:
-    """The Kuo quantity at a point, float route."""
+def _norm(values: Sequence, x):
+    """Euclidean norm of values evaluated at x: math.hypot at a point, the
+    root of the summed squares at rows."""
+    if _is_rows(x):
+        return np.sqrt(sum((v**2 for v in values), _zero(x)))
+    return math.hypot(*values)
+
+
+def component_norm(germ: MapGerm, x):
+    """|f| (u in the split above)."""
+    return _norm([c.eval_float(x) for c in germ.components], x)
+
+
+def gradient_norm(germ: MapGerm, x):
+    """Euclidean gradient norm of a single-component germ."""
+    if germ.p != 1:
+        raise ValueError("gradient norm is defined here only for p == 1")
+    return _norm([poly.eval_float(x) for _, poly in build_minors(germ).p_minors], x)
+
+
+def kuo_minor_sum(germ: MapGerm, m: int, x):
+    """Sum of |p-minor|^m (v / |x| in the split above, at m = 1)."""
+    return sum((abs(poly.eval_float(x)) ** m for _, poly in build_minors(germ).p_minors), _zero(x))
+
+
+def thom_minor_sum(germ: MapGerm, m: int, x):
+    """Sum of |Thom minor|^m (w in the split above, at m = 1)."""
+    return sum((abs(poly.eval_float(x)) ** m for _, poly in build_minors(germ).thom_minors), _zero(x))
+
+
+def kuo_value(germ: MapGerm, m: int, x):
+    """The Kuo quantity, float route."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     _check_point(germ, x)
-    cache = build_minors(germ)
-    norm_x = math.hypot(*x)
-    minor_sum = sum(abs(poly.eval_float(x)) ** m for _, poly in cache.p_minors)
-    return norm_x**m * minor_sum + _component_norm(germ, x) ** m
+    norm_x = np.sqrt(np.sum(x * x, axis=1)) if _is_rows(x) else math.hypot(*x)
+    return norm_x**m * kuo_minor_sum(germ, m, x) + component_norm(germ, x) ** m
 
 
-def thom_value(germ: MapGerm, m: int, x: Sequence[float]) -> float:
-    """The Thom quantity at a point, float route."""
+def thom_value(germ: MapGerm, m: int, x):
+    """The Thom quantity, float route."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     _check_point(germ, x)
-    cache = build_minors(germ)
-    minor_sum = sum(abs(poly.eval_float(x)) ** m for _, poly in cache.thom_minors)
-    return minor_sum + _component_norm(germ, x) ** m
+    return thom_minor_sum(germ, m, x) + component_norm(germ, x) ** m
+
+
+QUANTITIES: dict[str, Callable] = {"kuo": kuo_value, "thom": thom_value}
 
 
 # ---------------------------------------------------------------------------
@@ -292,95 +326,3 @@ def ideal_generators_thom(germ: MapGerm) -> tuple[Polynomial, ...]:
     """Components of f together with all (p+1)-minors of the Jacobian of (f, rho)."""
     cache = build_minors(germ)
     return tuple(germ.components) + tuple(poly for _, poly in cache.thom_minors)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized float evaluation over arrays of points
-
-
-def eval_many(p: Polynomial, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial at the rows of pts (shape (N, nvars)).
-
-    Terms are accumulated in descending graded lexicographic order, the
-    same order as scalar float evaluation.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != p.nvars:
-        raise ValueError(f"expected an (N, {p.nvars}) array, got {pts.shape}")
-    out = np.zeros(pts.shape[0])
-    for mono, coeff in p.sorted_terms():
-        term = np.full(pts.shape[0], float(coeff))
-        for i, e in enumerate(mono):
-            if e == 1:
-                term *= pts[:, i]
-            elif e > 1:
-                term *= pts[:, i] ** e
-        out += term
-    return out
-
-
-def component_norm_values(germ: MapGerm, pts: np.ndarray) -> np.ndarray:
-    """|f| at the rows of pts."""
-    acc = np.zeros(len(pts))
-    for c in germ.components:
-        acc += eval_many(c, pts) ** 2
-    return np.sqrt(acc)
-
-
-def minor_abs_sum_values(germ: MapGerm, pts: np.ndarray) -> np.ndarray:
-    """Sum of absolute p-minors at the rows of pts."""
-    cache = build_minors(germ)
-    acc = np.zeros(len(pts))
-    for _, poly in cache.p_minors:
-        acc += np.abs(eval_many(poly, pts))
-    return acc
-
-
-def thom_abs_sum_values(germ: MapGerm, pts: np.ndarray) -> np.ndarray:
-    """Sum of absolute Thom minors at the rows of pts."""
-    cache = build_minors(germ)
-    acc = np.zeros(len(pts))
-    for _, poly in cache.thom_minors:
-        acc += np.abs(eval_many(poly, pts))
-    return acc
-
-
-def gradient_norm_values(germ: MapGerm, pts: np.ndarray) -> np.ndarray:
-    """Euclidean gradient norm for a single-component germ."""
-    if germ.p != 1:
-        raise ValueError("gradient norm is defined here only for p == 1")
-    acc = np.zeros(len(pts))
-    for _, poly in build_minors(germ).p_minors:
-        acc += eval_many(poly, pts) ** 2
-    return np.sqrt(acc)
-
-
-def kuo_values(germ: MapGerm, m: int, pts: np.ndarray) -> np.ndarray:
-    """Kuo quantity at the rows of pts."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    pts = np.asarray(pts, dtype=float)
-    cache = build_minors(germ)
-    norms = np.sqrt(np.sum(pts * pts, axis=1))
-    acc = np.zeros(len(pts))
-    for _, poly in cache.p_minors:
-        acc += np.abs(eval_many(poly, pts)) ** m
-    return norms**m * acc + component_norm_values(germ, pts) ** m
-
-
-def thom_values(germ: MapGerm, m: int, pts: np.ndarray) -> np.ndarray:
-    """Thom quantity at the rows of pts."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    pts = np.asarray(pts, dtype=float)
-    cache = build_minors(germ)
-    acc = np.zeros(len(pts))
-    for _, poly in cache.thom_minors:
-        acc += np.abs(eval_many(poly, pts)) ** m
-    return acc + component_norm_values(germ, pts) ** m
-
-
-QUANTITIES: dict[str, Callable[[MapGerm, int, np.ndarray], np.ndarray]] = {
-    "kuo": kuo_values,
-    "thom": thom_values,
-}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence, Union
 
@@ -153,7 +153,7 @@ class AlgebraicSet:
         if len(x) != self.nvars:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.nvars}")
         x = np.asarray(x, dtype=float)
-        partials = [[g.partial(i) for i in range(self.nvars)] for g in self.generators]
+        partials = self._partials
 
         def residual(y: np.ndarray) -> float:
             return math.sqrt(sum(g.eval_float(y) ** 2 for g in self.generators))
@@ -177,6 +177,11 @@ class AlgebraicSet:
             if residual(y) <= PROJECTION_TOL:
                 best = min(best, float(np.sqrt(np.dot(y - x, y - x))))
         return best
+
+    @cached_property
+    def _partials(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The gradient of each generator, built once per set."""
+        return tuple(tuple(g.partial(i) for i in range(self.nvars)) for g in self.generators)
 
     def distance_many(self, pts: np.ndarray) -> np.ndarray:
         return np.array([self.distance(row) for row in np.asarray(pts, dtype=float)])
@@ -565,7 +570,7 @@ def sigma_elliptic_probe(
             continue
         if gen.nvars != sigma.nvars:
             raise ValueError("generator variable count does not match Sigma")
-        rows = _band_rows(sigma, cfg, lambda pts, g=gen: np.abs(qt.eval_many(g, pts)))
+        rows = _band_rows(sigma, cfg, lambda pts, g=gen: np.abs(g.eval_float(pts)))
         elliptic, estimate, notes = decide_rate(
             _band_minima(rows), alpha_max, cfg.tolerance, cfg.zero_floor,
             "generator vanishes somewhere in {zeros} of {present} distance bands", None, _TOO_FEW_BANDS,

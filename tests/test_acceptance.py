@@ -31,7 +31,7 @@ from kuothom.lojasiewicz import (
     sufficiency_degree_estimate,
     verdict_from_scan,
 )
-from kuothom.quantities import minor_abs_sum_values, thom_abs_sum_values
+from kuothom.quantities import kuo_minor_sum, thom_minor_sum
 from kuothom.seeds import subsystem_seed
 from corpus import MASTER_SEED, corpus_arcs, corpus_germ, corpus_germs
 
@@ -148,8 +148,8 @@ def test_criterion_05_thom_minors_dominated_pointwise():
     for i, germ in enumerate(corpus_germs()):
         rng = np.random.default_rng(subsystem_seed(MASTER_SEED, f"domination:{i}"))
         pts = rng.uniform(-0.8, 0.8, size=(500, germ.n))
-        v = np.sqrt(np.sum(pts * pts, axis=1)) * minor_abs_sum_values(germ, pts)
-        w = thom_abs_sum_values(germ, pts)
+        v = np.sqrt(np.sum(pts * pts, axis=1)) * kuo_minor_sum(germ, 1, pts)
+        w = thom_minor_sum(germ, 1, pts)
         worst = max(worst, float(np.max(w - 2 * (germ.n - germ.p) * v)))
         total += len(pts)
     assert total == 100_000

@@ -127,15 +127,16 @@ def test_analyze_identity_map(ws):
 
 def test_analyze_scans_the_gradient_once(ws, monkeypatch):
     # kuiper-kuo at every r and the sufficiency degree read one gradient
-    # scan: one grid evaluation per sphere of the ladder
+    # scan: one grid evaluation (an array call) per sphere of the ladder
     calls = []
-    real = kuothom.quantities.gradient_norm_values
+    real = kuothom.quantities.gradient_norm
 
-    def counting(germ, pts):
-        calls.append(len(pts))
-        return real(germ, pts)
+    def counting(germ, x):
+        if np.ndim(x) == 2:
+            calls.append(len(x))
+        return real(germ, x)
 
-    monkeypatch.setattr(kuothom.quantities, "gradient_norm_values", counting)
+    monkeypatch.setattr(kuothom.quantities, "gradient_norm", counting)
     assert run_analyze(ws, "x^3 - 3*x*y^2\n") == 0
     assert len(calls) == len(FAST_CONFIG["radii"])
     assert read_report(ws, "analyze")["results"]["sufficiency_degree"] == 3

@@ -40,8 +40,9 @@ TRIPLE_GERM = mk(["x^3 - 3*x*y^2"], 2)
 PLANE_GERM = mk(["x - y^2", "x^2"], 2)
 
 
-def norm_rows(pts: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(pts * pts, axis=1))
+def norm_rows(x):
+    """|x| at one point, or at each row of an array of points."""
+    return np.sqrt(np.sum(np.square(x), axis=-1))
 
 
 # -- minimization on spheres ------------------------------------------------
@@ -49,37 +50,37 @@ def norm_rows(pts: np.ndarray) -> np.ndarray:
 
 def test_min_constant_gradient_norm():
     # grad(x^2+y^2) has norm 2|x|, constant on each sphere
-    got = min_on_sphere(lambda pts: 2.0 * norm_rows(pts), 2, 0.1, FAST)
+    got = min_on_sphere(lambda x: 2.0 * norm_rows(x), 2, 0.1, FAST)
     assert got.value == pytest.approx(0.2, abs=1e-6)
 
 
 def test_min_quadratic_gradient_norm():
     # |grad(x^3 - 3xy^2)|^2 = 9(x^2+y^2)^2
-    got = min_on_sphere(lambda pts: 3.0 * norm_rows(pts) ** 2, 2, 0.1, FAST)
+    got = min_on_sphere(lambda x: 3.0 * norm_rows(x) ** 2, 2, 0.1, FAST)
     assert got.value == pytest.approx(0.03, abs=1e-5)
 
 
 def test_min_vanishing_quantity():
     # the sphere of radius 0.01 crosses the parabola x = y^2
-    F = lambda pts: np.abs(pts[:, 0] - pts[:, 1] ** 2)  # noqa: E731
+    F = lambda x: np.abs(np.asarray(x)[..., 0] - np.asarray(x)[..., 1] ** 2)  # noqa: E731
     got = min_on_sphere(F, 2, 0.01, FAST)
     assert got.value <= 1e-4
 
 
 def test_min_requires_positive_radius():
     with pytest.raises(ValueError):
-        min_on_sphere(lambda pts: norm_rows(pts), 2, 0.0, FAST)
+        min_on_sphere(lambda x: norm_rows(x), 2, 0.0, FAST)
 
 
 def test_min_in_one_variable():
     # the 0-sphere is the two points {-r, r}
-    F = lambda pts: np.abs(pts[:, 0] - 0.05)  # noqa: E731
+    F = lambda x: np.abs(np.asarray(x)[..., 0] - 0.05)  # noqa: E731
     got = min_on_sphere(F, 1, 0.1, FAST)
     assert got.value == pytest.approx(0.05, abs=1e-12)
 
 
 def test_min_in_four_variables_uses_direction_pool():
-    got = min_on_sphere(lambda pts: 2.0 * norm_rows(pts), 4, 0.1, FAST)
+    got = min_on_sphere(lambda x: 2.0 * norm_rows(x), 4, 0.1, FAST)
     assert got.value == pytest.approx(0.2, abs=1e-6)
     assert got.total == 512
 
@@ -102,14 +103,14 @@ def test_fit_loglog_exact_power_law():
     [(2.0, 1), (3.0, 2), (0.7, 3)],
 )
 def test_estimated_slope_matches_known_power(factor, power):
-    scan = scan_spheres(lambda pts: factor * norm_rows(pts) ** power, 2, FAST)
+    scan = scan_spheres(lambda x: factor * norm_rows(x) ** power, 2, FAST)
     est = verdict_from_scan("power", scan, power, FAST).estimate
     assert est.slope == pytest.approx(power, abs=0.05)
     assert est.r_squared >= 0.999
 
 
 def test_estimate_skips_zero_spheres():
-    scan = scan_spheres(lambda pts: norm_rows(pts) - norm_rows(pts), 2, FAST)
+    scan = scan_spheres(lambda x: norm_rows(x) - norm_rows(x), 2, FAST)
     verdict = verdict_from_scan("zero", scan, 1, FAST)
     assert verdict.estimate is None
     assert verdict.diagnostics == (

@@ -4,6 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -190,6 +191,11 @@ def test_eval_float_matches_exact(p, a, b):
     exact = p.eval_exact((a, b))
     approx = p.eval_float((float(a), float(b)))
     assert abs(approx - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
+    # an array of points: each row of the result is the point result of that row
+    rows = np.array([[float(a), float(b)], [float(b), float(a)], [0.0, 0.0]])
+    for row, value in zip(rows, p.eval_float(rows)):
+        point = p.eval_float(tuple(row))
+        assert abs(value - point) <= 1e-10 * max(1.0, abs(point))
 
 
 # -- arc composition ------------------------------------------------------------
@@ -340,6 +346,8 @@ def test_parse_unknown_variable():
         ("x^1500 + y^1500", 3),  # the power is refused before it is formed
         ("x^200*y^100", 6),  # and so is a product
         ("2^300", 3),  # an exponent above the cap, whatever the base
+        ("(x + y + z + w + 1)^24", 21),  # 20,475 terms: above the term cap
+        ("((2^256)^256)^256", 10),  # a 65,537-bit constant: above the coefficient-bit cap
         ("x9", 1),
         ("x1000000000", 1),
     ],

@@ -21,16 +21,14 @@ from kuothom import (
     kuo_polynomial,
     kuo_value,
     kuo_value_exact,
-    kuo_values,
     map_germ,
     parse_polynomial,
     rho_polynomial,
     thom_polynomial,
     thom_value,
     thom_value_exact,
-    thom_values,
 )
-from kuothom.quantities import component_norm_values, minor_abs_sum_values, thom_abs_sum_values
+from kuothom.quantities import component_norm, kuo_minor_sum, thom_minor_sum
 from corpus import corpus_germ
 
 
@@ -193,11 +191,11 @@ def test_thom_value_hand_example():
 
 
 def uvwhg(germ: MapGerm, pts) -> tuple[np.ndarray, ...]:
-    """The proof split u, v, w, h, g at the rows of pts, from the vector evaluators."""
+    """The proof split u, v, w, h, g at the rows of pts."""
     pts = np.asarray(pts, dtype=float)
-    u = component_norm_values(germ, pts)
-    v = np.sqrt(np.sum(pts * pts, axis=1)) * minor_abs_sum_values(germ, pts)
-    w = thom_abs_sum_values(germ, pts)
+    u = component_norm(germ, pts)
+    v = np.sqrt(np.sum(pts * pts, axis=1)) * kuo_minor_sum(germ, 1, pts)
+    w = thom_minor_sum(germ, 1, pts)
     return u, v, w, v + u, w + u
 
 
@@ -213,8 +211,8 @@ def test_uvwhg_hand_example():
     pts = [(0.0, 1.0)]
     split = [s[0] for s in uvwhg(SCALAR_GERM, pts)]
     assert split == pytest.approx([1.0, 3.0, 2.0, 4.0, 3.0], abs=1e-12)
-    assert kuo_values(SCALAR_GERM, 1, pts)[0] == pytest.approx(4.0, abs=1e-12)
-    assert thom_values(SCALAR_GERM, 1, pts)[0] == pytest.approx(3.0, abs=1e-12)
+    assert kuo_value(SCALAR_GERM, 1, np.asarray(pts))[0] == pytest.approx(4.0, abs=1e-12)
+    assert thom_value(SCALAR_GERM, 1, np.asarray(pts))[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_uvwhg_identity_example():
@@ -242,7 +240,7 @@ def test_equal_dims_thom_is_component_norm():
 
 
 def _sample_points(rng: random.Random, n: int, count: int = 40):
-    return [tuple(rng.uniform(-0.8, 0.8) for _ in range(n)) for _ in range(count)]
+    return np.array([tuple(rng.uniform(-0.8, 0.8) for _ in range(n)) for _ in range(count)])
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 5, 11, 23, 58, 131])
@@ -257,7 +255,7 @@ def test_power_sum_sandwich(index, m):
     ct = 2**m * max(1, math.comb(n, p + 1)) ** (m - 1)
     pts = _sample_points(rng, n)
     _, _, _, h, g = uvwhg(germ, pts)
-    K, T = kuo_values(germ, m, pts), thom_values(germ, m, pts)
+    K, T = kuo_value(germ, m, pts), thom_value(germ, m, pts)
     assert np.all(K <= h**m * (1 + 1e-9))
     assert np.all(h**m <= ck * K * (1 + 1e-9))
     assert np.all(T <= g**m * (1 + 1e-9))
@@ -275,7 +273,7 @@ def test_thom_minor_domination(index):
     pts = _sample_points(rng, n)
     _, v, w, _, _ = uvwhg(germ, pts)
     assert np.all(w <= 2 * (n - p) * v + 1e-12)
-    assert np.all(thom_values(germ, 1, pts) <= factor * kuo_values(germ, 1, pts) + 1e-12)
+    assert np.all(thom_value(germ, 1, pts) <= factor * kuo_value(germ, 1, pts) + 1e-12)
 
 
 # -- float route against the exact route ----------------------------------------
@@ -301,12 +299,13 @@ def test_exact_values_are_polynomial_evaluations():
 
 
 def test_vectorized_values_match_scalar():
+    # a point call equals the same row of one array call
     germ = corpus_germ(4)
     rng = np.random.default_rng(17)
     pts = rng.uniform(-1, 1, size=(25, germ.n))
     for m in (1, 2, 3):
-        kv = kuo_values(germ, m, pts)
-        tv = thom_values(germ, m, pts)
+        kv = kuo_value(germ, m, pts)
+        tv = thom_value(germ, m, pts)
         for row, k, t in zip(pts, kv, tv):
             assert k == pytest.approx(kuo_value(germ, m, tuple(row)), rel=1e-10)
             assert t == pytest.approx(thom_value(germ, m, tuple(row)), rel=1e-10)
