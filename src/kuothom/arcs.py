@@ -80,7 +80,7 @@ def parse_arc(text: str, nvars: int | None = None) -> Arc:
 
 @dataclass(frozen=True)
 class OrderLedger:
-    """All orders needed to read off ord K_m and ord T_m along one arc."""
+    """All orders along one arc: ord K_m = m * ord_h and ord T_m = m * ord_g."""
 
     ord_f: tuple[Order, ...]
     ord_u: Order
@@ -122,20 +122,6 @@ def ledger(germ: MapGerm, arc: Arc) -> OrderLedger:
         ord_h=min(ord_v, ord_u),
         ord_g=min(ord_w, ord_u),
     )
-
-
-def kuo_order(germ: MapGerm, m: int, arc: Arc) -> Order:
-    """ord of the Kuo quantity along an arc; equals m * kuo_order(germ, 1, arc)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return m * ledger(germ, arc).ord_h
-
-
-def thom_order(germ: MapGerm, m: int, arc: Arc) -> Order:
-    """ord of the Thom quantity along an arc; equals m * thom_order(germ, 1, arc)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return m * ledger(germ, arc).ord_g
 
 
 @dataclass(frozen=True)

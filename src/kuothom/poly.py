@@ -403,14 +403,6 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: object) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return UniPoly([c * other for c in self.coeffs])
@@ -428,27 +420,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("powers require a nonnegative integer exponent")
-        result = UniPoly([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def eval_exact(self, t: object) -> Fraction:
-        tv = t if isinstance(t, Fraction) else Fraction(t)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * tv + c
-        return total
-
-    def eval_float(self, t: float) -> float:
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * t + float(c)
-        return total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
@@ -484,19 +455,14 @@ class UniPoly:
 # Arc composition
 
 
-def compose_arc(
-    p: Polynomial,
-    components: Sequence[UniPoly],
-    cache: dict | None = None,
-) -> UniPoly:
+def compose_arc(p: Polynomial, components: Sequence[UniPoly]) -> UniPoly:
     """Substitute t-polynomials for the variables of p, exactly.
 
-    `components[i]` replaces variable i.  The optional cache may be shared
-    across calls with the same component tuple; it stores integer-cleared
-    component data and their powers, which keeps the inner convolutions in
-    plain integer arithmetic.  The result is identical with or without the
-    cache.  Callers that need only the order use compose_order; this full
-    composition stays as its independent oracle.
+    `components[i]` replaces variable i.  The components are cleared to
+    integers once per call, and their powers are kept for the call, so the
+    inner convolutions stay in plain integer arithmetic.  Callers that need
+    only the order use compose_order; this full composition is its
+    independent oracle and shares no cache with it.
     """
     if len(components) != p.nvars:
         raise ValueError(
@@ -504,8 +470,7 @@ def compose_arc(
         )
     if p.is_zero:
         return UniPoly.zero()
-    if cache is None:
-        cache = {}
+    cache: dict = {}
 
     def base(i: int) -> tuple[int, list[int]]:
         key = ("base", i)
@@ -573,7 +538,7 @@ def compose_order(
     """compose_arc(p, components).order, computed from the lowest valuation up.
 
     Each nonzero component is t^a_i * u_i(t) with u_i(0) != 0, cleared to
-    integers once per cache (which compose_arc may share).  A monomial
+    integers once per cache, which callers share across one arc.  A monomial
     starts at t^(sum e_i a_i), and a lone term at the lowest such v0 cannot
     cancel.  Otherwise only the coefficients from v0 upward are formed, from
     integer power series of the u_i truncated to a depth that doubles while

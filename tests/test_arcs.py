@@ -11,7 +11,6 @@ from kuothom import (
     arc_generator,
     compose_arc,
     equivalence_probes,
-    kuo_order,
     kuo_polynomial,
     kuo_value,
     ledger,
@@ -20,7 +19,6 @@ from kuothom import (
     parse_polynomial,
     parse_unipoly,
     probe_csv,
-    thom_order,
     thom_polynomial,
     thom_value,
     UniPoly,
@@ -128,30 +126,31 @@ def test_ledger_min_rules(index):
 
 
 def test_orders_scalar_germ_cusp_arc():
-    assert kuo_order(SCALAR_GERM, 1, CUSP_ARC) == 1
-    assert thom_order(SCALAR_GERM, 1, CUSP_ARC) == 1
+    led = ledger(SCALAR_GERM, CUSP_ARC)
+    assert (led.ord_h, led.ord_g) == (1, 1)
 
 
 def test_orders_plane_pair_cusp_arc():
-    assert kuo_order(PLANE_GERM, 1, CUSP_ARC) == 4
-    assert thom_order(PLANE_GERM, 1, CUSP_ARC) == 4
+    led = ledger(PLANE_GERM, CUSP_ARC)
+    assert (led.ord_h, led.ord_g) == (4, 4)
 
 
 def test_orders_scale_linearly_in_m():
+    # for even m the quantities are polynomials, so composing them in full
+    # gives ord K_m and ord T_m without the ledger; both are m times its orders
+    polys = {m: (kuo_polynomial(PLANE_GERM, m), thom_polynomial(PLANE_GERM, m)) for m in (2, 4)}
     for arc in corpus_arcs(3, PLANE_GERM.n, count=8):
-        base_k = kuo_order(PLANE_GERM, 1, arc)
-        base_t = thom_order(PLANE_GERM, 1, arc)
-        for m in (2, 3, 5):
-            assert kuo_order(PLANE_GERM, m, arc) == m * base_k
-            assert thom_order(PLANE_GERM, m, arc) == m * base_t
+        led = ledger(PLANE_GERM, arc)
+        for m, (kuo_m, thom_m) in polys.items():
+            assert compose_arc(kuo_m, arc.components).order == m * led.ord_h
+            assert compose_arc(thom_m, arc.components).order == m * led.ord_g
 
 
 def test_zero_padded_arc():
     arc = parse_arc("t; 0", 2)
     # along the x-axis f = (x, x^2): u has order 1, matching K and T
-    germ = mk(["x", "x^2"], 2)
-    assert kuo_order(germ, 1, arc) == 1
-    assert thom_order(germ, 1, arc) == 1
+    led = ledger(mk(["x", "x^2"], 2), arc)
+    assert (led.ord_h, led.ord_g) == (1, 1)
 
 
 def test_infinite_orders_on_annihilating_arc():
@@ -159,8 +158,8 @@ def test_infinite_orders_on_annihilating_arc():
     # single gradient minor does too, so both orders are infinite
     germ = mk(["(x - y^2)^2"], 2)
     arc = CUSP_ARC
-    assert kuo_order(germ, 1, arc) == INF
-    assert thom_order(germ, 1, arc) == INF
+    led = ledger(germ, arc)
+    assert (led.ord_h, led.ord_g) == (INF, INF)
     report = equivalence_probes(germ, [arc], [1])[0]
     assert report.rows[0].equal
     assert "inf,inf,true" in probe_csv(report)
@@ -194,8 +193,8 @@ def test_equal_dims_order_is_component_order():
     germ = mk(["x + y^2", "y - x^3"], 2)
     for arc in corpus_arcs(5, 2, count=12):
         expected = min(compose_arc(c, arc.components).order for c in germ.components)
-        assert thom_order(germ, 1, arc) == expected
-        assert kuo_order(germ, 1, arc) == expected
+        led = ledger(germ, arc)
+        assert (led.ord_h, led.ord_g) == (expected, expected)
 
 
 # -- arc generator ----------------------------------------------------------------
@@ -245,8 +244,16 @@ def test_symbolic_expansion_oracle(index):
     kuo2 = kuo_polynomial(germ, 2)
     thom2 = thom_polynomial(germ, 2)
     for arc in corpus_arcs(index, germ.n, count=10):
-        assert compose_arc(kuo2, arc.components).order == kuo_order(germ, 2, arc)
-        assert compose_arc(thom2, arc.components).order == thom_order(germ, 2, arc)
+        led = ledger(germ, arc)
+        assert compose_arc(kuo2, arc.components).order == 2 * led.ord_h
+        assert compose_arc(thom2, arc.components).order == 2 * led.ord_g
+
+
+def _horner(q: UniPoly, t: float) -> float:
+    total = 0.0
+    for c in reversed(q.coeffs):
+        total = total * t + float(c)
+    return total
 
 
 @pytest.mark.parametrize("index", [0, 2, 5, 8])
@@ -255,15 +262,15 @@ def test_numeric_slope_oracle(index):
     # for the fit as long as the order is small enough to avoid underflow
     germ = corpus_germ(index)
     for arc in corpus_arcs(index, germ.n, count=8):
-        ok = kuo_order(germ, 1, arc)
-        ot = thom_order(germ, 1, arc)
+        led = ledger(germ, arc)
+        ok, ot = led.ord_h, led.ord_g
         if ok == INF or ok > 30:
             continue
         ts = [10.0**-k for k in range(4, 9)]
         for order, value in ((ok, kuo_value), (ot, thom_value)):
             logs = []
             for t in ts:
-                x = tuple(c.eval_float(t) for c in arc.components)
+                x = tuple(_horner(c, t) for c in arc.components)
                 logs.append(math.log(value(germ, 1, x)))
             slopes = [
                 (logs[i + 1] - logs[i]) / (math.log(ts[i + 1]) - math.log(ts[i]))

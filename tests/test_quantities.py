@@ -149,6 +149,22 @@ def test_determinant_of_jacobian_via_permutations():
         assert minor == _permutation_determinant(rows)
 
 
+@pytest.mark.parametrize("index", range(24))
+def test_minor_sums_are_gram_determinants(index):
+    # Cauchy-Binet, an oracle that shares no cofactor expansion with
+    # build_minors: with A the Jacobian and B = [A; 2x^T], the squared
+    # p-minors sum to det(A A^T) and the squared Thom minors to det(B B^T)
+    germ = corpus_germ(index)
+    n = germ.n
+    a = [[c.partial(i) for i in range(n)] for c in germ.components]
+    b = a + [[Polynomial.constant(n, 2) * Polynomial.variable(n, i) for i in range(n)]]
+    cache = build_minors(germ)
+    for rows, minors in ((a, cache.p_minors), (b, cache.thom_minors)):
+        gram = [[sum((u * v for u, v in zip(r, s)), Polynomial.zero(n)) for s in rows] for r in rows]
+        squares = sum((m * m for _, m in minors), Polynomial.zero(n))
+        assert squares == _permutation_determinant(gram)
+
+
 # -- symbolic quantities --------------------------------------------------------
 
 
