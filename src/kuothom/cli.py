@@ -288,7 +288,7 @@ _RENAMES = {"ord_kuo": "ord_K", "ord_thom": "ord_T"}
 _DERIVED = {
     MapGerm: ("n", "p"),
     ProbeReport: ("all_equal",),
-    lj.RatioProbe: ("stability_kuo_over_thom", "stability_thom_over_kuo"),
+    lj.RatioProbe: ("stability_kuo_over_thom",),
 }
 
 

@@ -488,25 +488,24 @@ def sufficiency_degree_estimate(gradient: RadialScan, r_max: int, cfg: ScanConfi
 
 @dataclass(frozen=True)
 class RatioProbe:
-    """Sampled maxima of K/T and T/K at a radius and at a quarter of it."""
+    """Sampled maxima of K/T at a radius and at a quarter of it.
+
+    Only K/T is informative.  Algebra alone bounds T/K by a constant
+    C(n, p, m): 1 when n = p, 2(n - p) at m = 1 (the Thom minor sum is at
+    most 2(n - p) |x| times the Kuo one) and 4 at m = 2 (Cauchy-Binet
+    gives T_2 - |f|^2 <= 4 (K_2 - |f|^2)), so its maxima are not sampled.
+    """
 
     m: int
     radius: float
     shrunk_radius: float
     points: int
     max_kuo_over_thom: float
-    max_thom_over_kuo: float
     shrunk_max_kuo_over_thom: float
-    shrunk_max_thom_over_kuo: float
 
     @property
     def stability_kuo_over_thom(self) -> float:
         a, b = self.max_kuo_over_thom, self.shrunk_max_kuo_over_thom
-        return max(a, b) / min(a, b)
-
-    @property
-    def stability_thom_over_kuo(self) -> float:
-        a, b = self.max_thom_over_kuo, self.shrunk_max_thom_over_kuo
         return max(a, b) / min(a, b)
 
 
@@ -517,7 +516,7 @@ def ratio_stability_probe(
     points: int = 2000,
     seed: int = 0,
 ) -> RatioProbe:
-    """Sample both ratio directions in a ball and in the 4x shrunken ball.
+    """Sample K/T in a ball and in the 4x shrunken ball.
 
     Points where either quantity vanishes are excluded from the ratios.
     """
@@ -525,7 +524,7 @@ def ratio_stability_probe(
         raise ValueError("need m >= 1, points >= 16 and a positive radius")
     rng = np.random.default_rng(subsystem_seed(seed, "ratio-probe"))
 
-    def sample_maxima(ball_radius: float) -> tuple[float, float]:
+    def sample_maximum(ball_radius: float) -> float:
         dirs = rng.normal(size=(points, germ.n))
         lengths = np.sqrt(np.sum(dirs * dirs, axis=1))
         lengths[lengths < 1e-12] = 1.0
@@ -536,17 +535,13 @@ def ratio_stability_probe(
         mask = (kv > 0.0) & (tv > 0.0)
         if not np.any(mask):
             raise ValueError("both quantities vanish at every sampled point")
-        return float(np.max(kv[mask] / tv[mask])), float(np.max(tv[mask] / kv[mask]))
+        return float(np.max(kv[mask] / tv[mask]))
 
-    big = sample_maxima(radius)
-    small = sample_maxima(radius / 4.0)
     return RatioProbe(
         m=m,
         radius=radius,
         shrunk_radius=radius / 4.0,
         points=points,
-        max_kuo_over_thom=big[0],
-        max_thom_over_kuo=big[1],
-        shrunk_max_kuo_over_thom=small[0],
-        shrunk_max_thom_over_kuo=small[1],
+        max_kuo_over_thom=sample_maximum(radius),
+        shrunk_max_kuo_over_thom=sample_maximum(radius / 4.0),
     )

@@ -266,9 +266,7 @@ def test_sufficiency_degree_can_be_undetermined():
 def test_ratio_maxima_finite_and_stable(m):
     probe = ratio_stability_probe(PLANE_GERM, m, radius=0.01, points=2000, seed=0)
     assert probe.max_kuo_over_thom < math.inf
-    assert probe.max_thom_over_kuo < math.inf
     assert probe.stability_kuo_over_thom < 10.0
-    assert probe.stability_thom_over_kuo < 10.0
 
 
 def test_ratio_probe_rejects_identically_zero_maps():
@@ -295,4 +293,4 @@ def test_ratio_probe_is_deterministic():
     a = ratio_stability_probe(PLANE_GERM, 1, points=500, seed=3)
     b = ratio_stability_probe(PLANE_GERM, 1, points=500, seed=3)
     assert a.max_kuo_over_thom == b.max_kuo_over_thom
-    assert a.shrunk_max_thom_over_kuo == b.shrunk_max_thom_over_kuo
+    assert a.shrunk_max_kuo_over_thom == b.shrunk_max_kuo_over_thom
