@@ -104,16 +104,17 @@ _PATH = (lambda v: v is None or isinstance(v, str), "a germ file path or null")
 #: Default, kind and cap (None: no cap) of every config key; the keys of
 #: the `relative` section carry its name as a prefix.  Scan settings take
 #: their defaults from ScanConfig and RelativeScanConfig.  A cap bounds a
-#: size that sets how much work or memory a run takes; it lies above the
-#: default, and a larger value is refused before anything is allocated.
+#: size that sets how much work or memory a run takes (of a list: its
+#: length); it lies above the default, and a larger one is refused before
+#: anything is allocated.
 CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (None, _SEED, None),
-    "m": ([1, 2], _COUNTS, None),
-    "r": ([1, 2, 3, 4], _COUNTS, None),
+    "m": ([1, 2], _COUNTS, 16),
+    "r": ([1, 2, 3, 4], _COUNTS, 16),
     "r_max": (6, _COUNT, 64),
     "wbar": (1.0, _POSITIVE, None),
     "tolerance": (ScanConfig.tolerance, _POSITIVE, None),
-    "radii": (list(ScanConfig.radii), _POSITIVES, None),
+    "radii": (list(ScanConfig.radii), _POSITIVES, 64),
     "grid_per_angle": (ScanConfig.grid_per_angle, _COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
     "hi_dim_directions": (ScanConfig.hi_dim_directions, _COUNT, 65536),
     "multistarts": (ScanConfig.multistarts, _COUNT, 256),
@@ -129,10 +130,10 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "relative.samples_per_band": (RelativeScanConfig.samples_per_band, _COUNT, 16384),
     "relative.anchor_directions": (RelativeScanConfig.anchor_directions, _COUNT, 1024),
     "relative.alpha_max": (4, _POSITIVE, None),
-    "relative.r": ([2], _COUNTS, None),
-    "relative.m": ([1], _COUNTS, None),
-    "relative.which": (["kuo", "thom"], _WHICH, None),
-    "relative.t_grid": (["0", "1/4", "1/2", "3/4", "1"], _T_GRID, None),
+    "relative.r": ([2], _COUNTS, 16),
+    "relative.m": ([1], _COUNTS, 16),
+    "relative.which": (["kuo", "thom"], _WHICH, 4),
+    "relative.t_grid": (["0", "1/4", "1/2", "3/4", "1"], _T_GRID, 64),
     "relative.deform_germ": (None, _PATH, None),
 }
 
@@ -182,8 +183,10 @@ def _validate_config(config: dict) -> None:
         value = (config[section] if section else config)[name]
         if not test(value):
             raise CliError(f"config key {key!r} must be {kind}, got {value!r}")
-        if cap is not None and value > cap:
-            raise CliError(f"config key {key!r} is {value}, above its cap of {cap}")
+        listed = isinstance(value, list)
+        if cap is not None and (len(value) if listed else value) > cap:
+            said = f"has {len(value)} entries" if listed else f"is {value}"
+            raise CliError(f"config key {key!r} {said}, above its cap of {cap}")
 
 
 def _require_seed(config: dict, why: str) -> int:
@@ -397,6 +400,8 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
         for kind, table in (("p_minors", cache.p_minors), ("thom_minors", cache.thom_minors))
     }
     symbolic = {"kuo_m2": qt.kuo_polynomial(germ, 2), "thom_m2": qt.thom_polynomial(germ, 2)}
+    for r in config["r"]:
+        lj.check_horn(r, config["wbar"], cfg)  # refuse an unusable horn before any scan
     conditions = lj.conditions_for(germ)
     scans = {c.scan: c.scan_fn(germ, cfg) for c in conditions}
 

@@ -461,6 +461,18 @@ def check_condition(germ: MapGerm, name: str, r: int, cfg: ScanConfig) -> Condit
     return condition.verdict(condition.scan_fn(germ, cfg), r, cfg)
 
 
+def check_horn(r: int, wbar: float, cfg: ScanConfig) -> None:
+    """Refuse a horn whose bound wbar * radius^r is not a positive float on
+    every scanned radius; at the default radii it underflows to 0 once r > 104."""
+    _check_r(r)
+    try:
+        ok = wbar * cfg.radii[-1] ** r > 0.0 and wbar * cfg.radii[0] ** r < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"the horn bound wbar * radius^r leaves the float range on the scanned radii at r = {r}")
+
+
 def check_kuo(germ: MapGerm, r: int, wbar: float, cfg: ScanConfig) -> ConditionVerdict:
     """Minor growth >= C |x|^(r-1), required only inside the horn of width wbar.
 
@@ -469,7 +481,7 @@ def check_kuo(germ: MapGerm, r: int, wbar: float, cfg: ScanConfig) -> ConditionV
     norm both ways, so verdicts at exponent level are unaffected by the
     choice.
     """
-    _check_r(r)
+    check_horn(r, wbar, cfg)
     constraint = HornConstraint(germ, r, wbar)
     scan = scan_minor_sum(germ, cfg, constraint=constraint)
     return verdict_from_scan(f"kuo r={r} wbar={wbar:g}", scan, r - 1, cfg, constrained=True)

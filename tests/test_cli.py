@@ -14,6 +14,7 @@ import pytest
 
 import kuothom
 import kuothom.arcs
+import kuothom.lojasiewicz
 import kuothom.quantities
 from kuothom import (
     CAVEAT_NUMERICAL,
@@ -400,10 +401,12 @@ CAPPED = sorted(key for key, (_, _, cap) in CONFIG_SCHEMA.items() if cap is not 
 
 @pytest.mark.parametrize("key", CAPPED)
 def test_values_above_a_cap_are_refused(ws, key, capsys):
-    # one above the cap: refused while the config is read, before any work
-    cap = CONFIG_SCHEMA[key][2]
+    # one above the cap (of a list: one entry more): refused while the
+    # config is read, before any work
+    default, _, cap = CONFIG_SCHEMA[key]
+    value = default[:1] * (cap + 1) if isinstance(default, list) else cap + 1
     section, _, name = key.rpartition(".")
-    patch = {section: {name: cap + 1}} if section else {name: cap + 1}
+    patch = {section: {name: value}} if section else {name: value}
     (ws / "config.json").write_text(json.dumps(patch))
     assert run_analyze(ws, "x - y^2\n") == 1
     assert f"above its cap of {cap}" in capsys.readouterr().err
@@ -414,11 +417,26 @@ def test_defaults_are_valid_and_below_their_caps():
     assert set(CAPPED) == {
         "r_max", "grid_per_angle", "hi_dim_directions", "multistarts", "arc_count", "arc_max_exponent",
         "ratio_points", "relative.bands", "relative.samples_per_band", "relative.anchor_directions",
+        "m", "r", "radii", "relative.r", "relative.m", "relative.which", "relative.t_grid",
     }
     for key in CAPPED:
         default, _, cap = CONFIG_SCHEMA[key]
-        assert default < cap
+        assert (len(default) if isinstance(default, list) else default) < cap
     assert load_config(None, None) == DEFAULT_CONFIG
+
+
+def test_horn_bound_underflow_is_refused_before_any_scan(ws, monkeypatch, capsys):
+    # at r = 110 the horn bound underflows to 0 at the smallest radius, and
+    # the constrained descent divided by it; every r is checked first
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a sphere was scanned")
+
+    monkeypatch.setattr(kuothom.lojasiewicz, "min_on_sphere", no_scan)
+    (ws / "config.json").write_text(json.dumps({"r": [1, 110], "grid_per_angle": 48, "multistarts": 2}))
+    assert run_analyze(ws, "x*y\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the horn bound") and "Traceback" not in err
+    assert not (ws / "out").exists()
 
 
 def test_config_merging_and_seed_override(tmp_path):

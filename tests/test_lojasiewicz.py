@@ -170,6 +170,16 @@ def test_kuo_vacuous_when_horn_is_empty():
     assert any("vacuous" in d for d in verdict.diagnostics)
 
 
+def test_kuo_refuses_a_horn_bound_outside_the_float_range():
+    # wbar * radius^r is 0.0 at the smallest default radius once r > 104,
+    # and the descent's violation divides by it; radii above 1 overflow
+    check_kuo(ROUND_GERM, 104, 1.0, ScanConfig(grid_per_angle=16, multistarts=0))
+    with pytest.raises(ValueError, match="horn bound"):
+        check_kuo(ROUND_GERM, 105, 1.0, ScanConfig())
+    with pytest.raises(ValueError, match="horn bound"):
+        check_kuo(ROUND_GERM, 3000, 1.0, ScanConfig(radii=(4.0, 3.0, 2.0, 1.5)))
+
+
 def test_horn_restriction_changes_the_scan():
     # inside the degree-2 horn of x - y^2 the grid keeps only points near
     # the parabola, where 1 + 2|y| stays clear of its global sphere minimum
