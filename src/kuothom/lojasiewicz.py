@@ -462,8 +462,9 @@ def check_condition(germ: MapGerm, name: str, r: int, cfg: ScanConfig) -> Condit
 
 
 def check_horn(r: int, wbar: float, cfg: ScanConfig) -> None:
-    """Refuse a horn whose bound wbar * radius^r is not a positive float on
-    every scanned radius; at the default radii it underflows to 0 once r > 104."""
+    """Refuse a horn whose bound wbar * radius^r is not a positive finite
+    float at every scanned radius; at the default radii it underflows to 0
+    once r > 104, and the constrained descent divides by it."""
     _check_r(r)
     try:
         ok = wbar * cfg.radii[-1] ** r > 0.0 and wbar * cfg.radii[0] ** r < math.inf
