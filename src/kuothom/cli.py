@@ -93,7 +93,8 @@ def _list_of(test, nonempty: bool = True):
 # Kinds of config value: a test, and what an error says the value must be.
 _SEED = (lambda v: v is None or _is_int(v), "an integer")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
-_POSITIVES = (_list_of(lambda v: _is_number(v) and v > 0), "a nonempty list of positive numbers")
+_RADIUS = (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]")
+_RADII = (_list_of(_RADIUS[0]), "a nonempty list of numbers in (0, 1]")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _COUNT0 = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
 _COUNTS = (_list_of(lambda v: _is_int(v) and v >= 1), "a nonempty list of positive integers")
@@ -114,7 +115,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "r_max": (6, _COUNT, 64),
     "wbar": (1.0, _POSITIVE, None),
     "tolerance": (ScanConfig.tolerance, _POSITIVE, None),
-    "radii": (list(ScanConfig.radii), _POSITIVES, 64),
+    "radii": (list(ScanConfig.radii), _RADII, 64),
     "grid_per_angle": (ScanConfig.grid_per_angle, _COUNT, 1440),  # n = 3 scans its square: 2.07M directions at the cap
     "hi_dim_directions": (ScanConfig.hi_dim_directions, _COUNT, 65536),
     "multistarts": (ScanConfig.multistarts, _COUNT, 256),
@@ -123,7 +124,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "arc_max_exponent": (6, _COUNT, 64),
     "arc_max_terms": (3, _COUNT, None),
     "arc_coeff_bound": (9, _COUNT, None),
-    "ratio_radius": (0.01, _POSITIVE, None),
+    "ratio_radius": (0.01, _RADIUS, None),
     "ratio_points": (2000, _COUNT, 1000000),
     "relative.delta": (RelativeScanConfig.delta, _POSITIVE, None),
     "relative.bands": (RelativeScanConfig.bands, _COUNT, 32),
@@ -491,19 +492,8 @@ def cmd_relative(germ_path: Path, sigma_path: Path, config: dict, out: Path) -> 
     rcfg = _relative_config(config)
     rc = config["relative"]
 
-    verdicts = []
-    for which in rc["which"]:
-        for r in rc["r"]:
-            for m in rc["m"]:
-                verdicts.append(rel.check_relative(germ, which, r, m, sigma, rcfg))
-    alpha = rc["alpha_max"]
-    results: dict = {
-        "verdicts": verdicts,
-        "ellipticity": {
-            "kuo_generators": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, alpha, rcfg),
-            "thom_generators": rel.sigma_elliptic_probe(qt.ideal_generators_thom(germ), sigma, alpha, rcfg),
-        },
-    }
+    # the deformation table first: a missing file or a jet mismatch fails before any band scan
+    results: dict = {}
     if rc["deform_germ"]:
         other = load_germ(Path(rc["deform_germ"]))
         r0, m0 = rc["r"][0], rc["m"][0]
@@ -518,6 +508,15 @@ def cmd_relative(germ_path: Path, sigma_path: Path, config: dict, out: Path) -> 
             "m": m0,
             "per_t": per_t,
         }
+    results["verdicts"] = [
+        rel.check_relative(germ, which, r, m, sigma, rcfg)
+        for which in rc["which"] for r in rc["r"] for m in rc["m"]
+    ]
+    alpha = rc["alpha_max"]
+    results["ellipticity"] = {
+        "kuo_generators": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, alpha, rcfg),
+        "thom_generators": rel.sigma_elliptic_probe(qt.ideal_generators_thom(germ), sigma, alpha, rcfg),
+    }
     report = _report_base("relative", config)
     report["caveats"].append("Sigma coherence is assumed, not checked")
     report["germ"] = germ

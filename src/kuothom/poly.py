@@ -281,10 +281,13 @@ class Polynomial:
             raise ValueError(f"expected {self.nvars} coordinates, got {width}")
         compiled = self._float
         if compiled is None:
-            compiled = tuple(
-                (float(c), tuple((i, e) for i, e in enumerate(mono) if e))
-                for mono, c in self.sorted_terms()
-            )
+            try:
+                compiled = tuple(
+                    (float(c), tuple((i, e) for i, e in enumerate(mono) if e))
+                    for mono, c in self.sorted_terms()
+                )
+            except OverflowError:
+                raise ValueError("a coefficient lies outside the float range; only exact routes take it") from None
             object.__setattr__(self, "_float", compiled)
         if rows:
             total, values = np.zeros(len(values)), np.asarray(values, dtype=float).T
@@ -391,35 +394,6 @@ class UniPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else 0
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __mul__(self, other: object) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):

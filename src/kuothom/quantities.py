@@ -20,8 +20,13 @@ whose parts component_norm (u), kuo_minor_sum (v / |x|, at m = 1) and
 thom_minor_sum (w, at m = 1) give at one point or at the rows of an array
 of points, as do the float quantities kuo_value and thom_value.
 
-Minors are exact symbolic polynomials obtained by cofactor expansion; the
-float path evaluates those exact minors and only then takes absolute
+Minors are exact symbolic polynomials from one row-by-row Laplace
+recursion over the Jacobian of (f, rho), whose last step expands each
+Thom minor along the rho row:
+
+    det JT_I = sum over j in I of +-2 x_j * det J_(I - {j})
+
+The float path evaluates those exact minors and only then takes absolute
 values.  For even m the quantities are themselves polynomials, which gives
 an exact rational evaluation route that is kept deliberately independent
 of the float route.
@@ -48,34 +53,6 @@ def rho_polynomial(nvars: int) -> Polynomial:
     acc = Polynomial.zero(nvars)
     for i in range(nvars):
         acc = acc + Polynomial.variable(nvars, i) ** 2
-    return acc
-
-
-def determinant(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials.
-
-    Cofactor expansion along the first row; fine for the small sizes
-    (p + 1 <= n, with n small) that occur here.
-    """
-    size = len(rows)
-    if size == 0:
-        raise ValueError("empty matrix")
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    nvars = rows[0][0].nvars
-    if size == 1:
-        return rows[0][0]
-    acc = Polynomial.zero(nvars)
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero:
-            continue
-        minor = [
-            [row[k] for k in range(size) if k != j]
-            for row in rows[1:]
-        ]
-        cofactor = entry * determinant(minor)
-        acc = acc + cofactor if j % 2 == 0 else acc - cofactor
     return acc
 
 
@@ -141,21 +118,31 @@ class MinorCache:
 
 @lru_cache(maxsize=256)
 def build_minors(germ: MapGerm) -> MinorCache:
-    """Compute and cache all Jacobian minors of a germ."""
-    n, p = germ.n, germ.p
-    jac = [[comp.partial(i) for i in range(n)] for comp in germ.components]
-    rho = rho_polynomial(n)
-    rho_row = [rho.partial(i) for i in range(n)]
+    """Compute and cache all Jacobian minors of a germ.
 
-    p_minors = tuple(
-        (cols, determinant([[jac[r][c] for c in cols] for r in range(p)]))
-        for cols in combinations(range(n), p)
+    One Laplace recursion over the rows of the Jacobian of (f, rho), the
+    rows of df and then 2x: the minor on the first k rows and the columns
+    cols expands along row k into the (k-1)-row minors,
+
+        minor(cols) = sum over j of (-1)^(k-1+j) * row_k[cols[j]] * minor(cols without cols[j]).
+
+    Level p holds the p-minors and level p + 1 the Thom minors.
+    """
+    n, p = germ.n, germ.p
+    rho = rho_polynomial(n)
+    levels = [{(): Polynomial.constant(n, 1)}]
+    for k, poly in enumerate((*germ.components, rho)):
+        row, below = [poly.partial(i) for i in range(n)], levels[-1]
+        levels.append({
+            cols: sum(
+                (row[c] * below[cols[:j] + cols[j + 1:]] * (-1) ** (k + j) for j, c in enumerate(cols)),
+                Polynomial.zero(n),
+            )
+            for cols in combinations(range(n), k + 1)
+        })
+    return MinorCache(
+        n=n, p=p, p_minors=tuple(levels[p].items()), thom_minors=tuple(levels[p + 1].items()), rho=rho
     )
-    thom_minors = tuple(
-        (cols, determinant([[row[c] for c in cols] for row in jac] + [[rho_row[c] for c in cols]]))
-        for cols in combinations(range(n), p + 1)
-    )
-    return MinorCache(n=n, p=p, p_minors=p_minors, thom_minors=thom_minors, rho=rho)
 
 
 # ---------------------------------------------------------------------------

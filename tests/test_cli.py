@@ -336,6 +336,54 @@ def test_relative_compatibility_table(ws):
         assert len({e["verdict"]["holds"] for e in entries}) == 1
 
 
+@pytest.mark.parametrize(
+    "sigma_text, other_text, code",
+    [
+        ("subspaces: [x]\n", None, 1),
+        ("subspaces: [x]\n", "nvars: 2\ny^2 + x^2\n", 2),
+        ("zeros: x - y^2\n", "nvars: 2\ny^2 + x*y^3\n", 2),
+    ],
+    ids=["missing-deform-file", "jet-mismatch", "algebraic-sigma"],
+)
+def test_relative_checks_preconditions_before_any_band_scan(ws, monkeypatch, sigma_text, other_text, code):
+    calls = []
+    real = kuothom.relative.check_relative
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kuothom.relative, "check_relative", counting)
+    other = ws / "other.txt" if other_text is None else germ_file(ws, other_text, name="other.txt")
+    config = {**FAST_CONFIG, "relative": {**FAST_CONFIG["relative"], "deform_germ": str(other)}}
+    assert run_relative(ws, sigma_text, config=config) == code
+    assert calls == []
+    assert not (ws / "out").exists()
+
+
+# a 401-digit coefficient: exact arithmetic takes it, float() overflows
+HUGE_GERM = f"1{'0' * 400}*x + y^2\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "relative"])
+def test_coefficient_outside_the_float_range_is_refused(ws, command, capsys):
+    if command == "analyze":
+        code = run_analyze(ws, HUGE_GERM)
+    else:
+        code = run_relative(ws, "subspaces: [x]\n", germ_text=HUGE_GERM)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a coefficient lies outside the float range") and "Traceback" not in err
+    assert not (ws / "out").exists()
+
+
+def test_arcs_takes_a_coefficient_outside_the_float_range(ws):
+    germ = germ_file(ws, HUGE_GERM)
+    assert main(["arcs", "--germ", str(germ), "--config", str(ws / "config.json"),
+                 "--seed", "7", "--out", str(ws / "out")]) == 0
+    assert read_report(ws, "arcs")["results"]["probes"]
+
+
 # -- argument and config validation -------------------------------------------------
 
 
@@ -383,8 +431,11 @@ def test_invalid_config_values(ws, patch, capsys):
         {"m": 2},
         {"relative": {"deform_germ": 5}},
         {"relative": {"t_grid": "1/2"}},
+        {"radii": [1e300, 1e200, 1e100, 1.0]},
+        {"ratio_radius": 1e300},
     ],
-    ids=["seed-bool", "arc_count-bool", "m-bool-entry", "m-not-a-list", "deform_germ-number", "t_grid-string"],
+    ids=["seed-bool", "arc_count-bool", "m-bool-entry", "m-not-a-list", "deform_germ-number", "t_grid-string",
+         "radii-above-1", "ratio_radius-above-1"],
 )
 def test_mistyped_config_values_are_refused(ws, patch, capsys):
     (ws / "config.json").write_text(json.dumps(patch))

@@ -217,11 +217,16 @@ def test_compose_arc_dimension_mismatch():
         compose_arc(P("x + y"), (parse_unipoly("t"),))
 
 
+def _in_t(q: UniPoly) -> Polynomial:
+    """q as a polynomial in one variable, whose ring operations UniPoly lacks."""
+    return Polynomial(1, {(e,): c for e, c in enumerate(q.coeffs)})
+
+
 @given(polynomials(nvars=2), polynomials(nvars=2), unipolys(), unipolys())
 def test_compose_arc_is_ring_homomorphism(a, b, u, v):
     arc = (u, v)
-    assert compose_arc(a * b, arc) == compose_arc(a, arc) * compose_arc(b, arc)
-    assert compose_arc(a + b, arc) == compose_arc(a, arc) + compose_arc(b, arc)
+    assert _in_t(compose_arc(a * b, arc)) == _in_t(compose_arc(a, arc)) * _in_t(compose_arc(b, arc))
+    assert _in_t(compose_arc(a + b, arc)) == _in_t(compose_arc(a, arc)) + _in_t(compose_arc(b, arc))
 
 
 # arcs where any component may be zero, or nonzero at t = 0
@@ -275,16 +280,6 @@ def test_unipoly_order_and_degree():
     assert q.order == 2
     assert q.degree == 5
     assert UniPoly.zero().order == INF
-
-
-def test_unipoly_arithmetic():
-    a = parse_unipoly("1 + t")
-    b = parse_unipoly("1 - t")
-    assert a * b == parse_unipoly("1 - t^2")
-    assert a + b == parse_unipoly("2")
-    assert a * a == parse_unipoly("1 + 2*t + t^2")
-    assert a * UniPoly.zero() == UniPoly.zero()
-    assert 2 * a == parse_unipoly("2 + 2*t")
 
 
 # -- parsing and printing --------------------------------------------------------

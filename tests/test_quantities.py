@@ -7,14 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from kuothom import (
     MapGerm,
     Polynomial,
     build_minors,
-    determinant,
     ideal_generators_kuo,
     ideal_generators_thom,
     kuo_m1_at_least,
@@ -120,33 +117,34 @@ def _permutation_determinant(rows):
     return total
 
 
-@given(st.integers(0, 10_000), st.integers(2, 3))
-def test_determinant_matches_permutation_expansion(seed, size):
+def _dense_germ(n: int, p: int, seed: int) -> MapGerm:
+    """Each component has every monomial of degree 1 or 2, plus three cubes."""
     rng = random.Random(seed)
-    rows = [
-        [
-            Polynomial(
-                2,
-                {
-                    (rng.randrange(3), rng.randrange(3)): Fraction(rng.randint(-3, 3))
-                    for _ in range(2)
-                },
-            )
-            for _ in range(size)
-        ]
-        for _ in range(size)
-    ]
-    assert determinant(rows) == _permutation_determinant(rows)
+    quadratic = [m for m in itertools.product(range(3), repeat=n) if 1 <= sum(m) <= 2]
+    comps = []
+    for _ in range(p):
+        monos = quadratic + [tuple(3 * (i == j) for i in range(n)) for j in rng.sample(range(n), 3)]
+        comps.append(Polynomial(n, {m: rng.choice((1, -1)) * rng.randint(1, 5) for m in monos}))
+    return map_germ(comps)
 
 
-def test_determinant_of_jacobian_via_permutations():
-    germ = corpus_germ(12)
+# corpus germs cover n = 2..4 and every p; the dense germ has many terms
+# in every Jacobian entry
+MINOR_GERMS = [corpus_germ(i) for i in range(24)] + [_dense_germ(6, 3, seed=6)]
+
+
+@pytest.mark.parametrize("germ", MINOR_GERMS, ids=[f"corpus{i}" for i in range(24)] + ["dense_n6p3"])
+def test_minors_match_permutation_expansion(germ):
+    # every p-minor of df and every Thom minor of d(f, rho), against the
+    # permutation expansion of its submatrix: an oracle without cofactors
     n, p = germ.n, germ.p
-    jac = [[c.partial(i) for i in range(n)] for c in germ.components]
+    rows = [[c.partial(i) for i in range(n)] for c in germ.components]
+    rows.append([Polynomial.constant(n, 2) * Polynomial.variable(n, i) for i in range(n)])
     cache = build_minors(germ)
-    for cols, minor in cache.p_minors:
-        rows = [[jac[r][c] for c in cols] for r in range(p)]
-        assert minor == _permutation_determinant(rows)
+    for k, minors in ((p, cache.p_minors), (p + 1, cache.thom_minors)):
+        assert [cols for cols, _ in minors] == list(itertools.combinations(range(n), k))
+        for cols, minor in minors:
+            assert minor == _permutation_determinant([[row[c] for c in cols] for row in rows[:k]])
 
 
 @pytest.mark.parametrize("index", range(24))
