@@ -7,18 +7,21 @@ quantities pulls back to a sum of absolute values of exact univariate
 polynomials, and the order of such a sum at t = 0+ is the minimum of the
 orders of its parts (the parts are nonnegative near 0, so nothing can
 cancel).  That reduces the order of either quantity to integer
-bookkeeping over the order ledger below:
+bookkeeping over the pieces of quantities.KUO and quantities.THOM: a
+piece (a, table, euclidean) has order a * ord |lambda| + (least order of
+its table's polynomials) at m = 1, and m times that at m, so
 
-    ord K_m = m * min(ord |x| + min over p-minors of ord,  min_j ord f_j)
-    ord T_m = m * min(min over Thom minors of ord,          min_j ord f_j)
+    ord K_m = m * min(min_j ord f_j,  ord |lambda| + min over p-minors of ord)
+    ord T_m = m * min(min_j ord f_j,  min over Thom minors of ord)
 
 with ord |lambda| = min_i ord lambda_i.  The zero polynomial has order
 INF, and INF propagates through minima and sums in the usual way.
 
-The ledger's orders are exact; poly.compose_order forms only the lowest
-coefficients of each composition (poly.compose_arc, the full one, is the
-independent oracle).  ord K_m and ord T_m are m times the m = 1 orders, so
-one ledger per arc serves every m.
+The ledger keeps the order of every component and minor along the arc,
+and reads ord_h and ord_g off the pieces.  Those orders are exact;
+poly.compose_order forms only the lowest coefficients of each composition
+(poly.compose_arc, the full one, is the independent oracle).  One ledger
+per arc serves every m.
 
 For a polynomial germ the two orders agree on every arc; the probe below
 reports them side by side so that any disagreement is visible as an
@@ -33,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import INF, UniPoly, compose_order, parse_unipoly
-from .quantities import MapGerm, build_minors
+from .quantities import KUO, THOM, MapGerm, build_minors
 
 Order = float  # int-valued, or INF
 
@@ -83,12 +86,9 @@ class OrderLedger:
     """All orders along one arc: ord K_m = m * ord_h and ord T_m = m * ord_g."""
 
     ord_f: tuple[Order, ...]
-    ord_u: Order
     ord_norm_x: int
     ord_minors: tuple[tuple[tuple[int, ...], Order], ...]
     ord_thom_minors: tuple[tuple[tuple[int, ...], Order], ...]
-    ord_v: Order
-    ord_w: Order
     ord_h: Order
     ord_g: Order
 
@@ -102,25 +102,22 @@ def ledger(germ: MapGerm, arc: Arc) -> OrderLedger:
     comps = arc.components
 
     ord_f = tuple(compose_order(c, comps, shared) for c in germ.components)
-    ord_u = min(ord_f)
-    ord_norm_x = arc.order
     ord_minors = tuple((idx, compose_order(poly, comps, shared)) for idx, poly in cache.p_minors)
     ord_thom_minors = tuple(
         (idx, compose_order(poly, comps, shared)) for idx, poly in cache.thom_minors
     )
-    best_minor = min((o for _, o in ord_minors), default=INF)
-    ord_v = ord_norm_x + best_minor
-    ord_w = min((o for _, o in ord_thom_minors), default=INF)
+    orders = {
+        "components": ord_f,
+        "p_minors": [o for _, o in ord_minors],
+        "thom_minors": [o for _, o in ord_thom_minors],
+    }
     return OrderLedger(
         ord_f=ord_f,
-        ord_u=ord_u,
-        ord_norm_x=ord_norm_x,
+        ord_norm_x=arc.order,
         ord_minors=ord_minors,
         ord_thom_minors=ord_thom_minors,
-        ord_v=ord_v,
-        ord_w=ord_w,
-        ord_h=min(ord_v, ord_u),
-        ord_g=min(ord_w, ord_u),
+        ord_h=KUO.order(arc.order, orders),
+        ord_g=THOM.order(arc.order, orders),
     )
 
 

@@ -404,7 +404,7 @@ def _analyze_results(germ: MapGerm, config: dict, cfg: ScanConfig) -> tuple[dict
     for r in config["r"]:
         lj.check_horn(r, config["wbar"], cfg)  # refuse an unusable horn before any scan
     conditions = lj.conditions_for(germ)
-    scans = {c.scan: c.scan_fn(germ, cfg) for c in conditions}
+    scans = {c.scan: lj.scan_quantity(germ, c.quantity, c.m, cfg) for c in conditions}
 
     verdicts = []
     csvs: dict[str, str] = {}
@@ -514,8 +514,8 @@ def cmd_relative(germ_path: Path, sigma_path: Path, config: dict, out: Path) -> 
     ]
     alpha = rc["alpha_max"]
     results["ellipticity"] = {
-        "kuo_generators": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, alpha, rcfg),
-        "thom_generators": rel.sigma_elliptic_probe(qt.ideal_generators_thom(germ), sigma, alpha, rcfg),
+        "kuo_generators": rel.sigma_elliptic_probe(qt.KUO.generators(germ), sigma, alpha, rcfg),
+        "thom_generators": rel.sigma_elliptic_probe(qt.THOM.generators(germ), sigma, alpha, rcfg),
     }
     report = _report_base("relative", config)
     report["caveats"].append("Sigma coherence is assumed, not checked")
@@ -543,7 +543,7 @@ def cmd_example(config: dict, out: Path) -> int:
         "verdicts": [
             rel.check_relative(germ, which, rc["r"][0], rc["m"][0], sigma, rcfg) for which in rc["which"]
         ],
-        "ellipticity": rel.sigma_elliptic_probe(qt.ideal_generators_kuo(germ), sigma, rc["alpha_max"], rcfg),
+        "ellipticity": rel.sigma_elliptic_probe(qt.KUO.generators(germ), sigma, rc["alpha_max"], rcfg),
     }
     report = _report_base("example", config)
     report["germ"] = germ

@@ -189,11 +189,11 @@ class HornConstraint:
         self.wbar = wbar
 
     def mask(self, pts: np.ndarray, radius: float) -> np.ndarray:
-        return qt.component_norm(self.germ, pts) <= self.wbar * radius**self.r
+        return qt.COMPONENTS.value(self.germ, 1, pts) <= self.wbar * radius**self.r
 
     def violation(self, x: Sequence[float], radius: float) -> float:
         bound = self.wbar * radius**self.r
-        return max(0.0, (qt.component_norm(self.germ, x) - bound) / bound)
+        return max(0.0, (qt.COMPONENTS.value(self.germ, 1, x) - bound) / bound)
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +399,11 @@ def verdict_from_scan(
 # Quantity scans and the conditions they decide
 
 
-def scan_gradient_norm(germ: MapGerm, cfg: ScanConfig) -> RadialScan:
-    if germ.p != 1:
-        raise ValueError("gradient scans require a single-component germ")
-    return scan_spheres(lambda x: qt.gradient_norm(germ, x), germ.n, cfg)
-
-
-def scan_minor_sum(germ: MapGerm, cfg: ScanConfig, constraint: HornConstraint | None = None) -> RadialScan:
-    return scan_spheres(lambda x: qt.kuo_minor_sum(germ, 1, x), germ.n, cfg, constraint=constraint)
-
-
-def scan_quantity(germ: MapGerm, which: str, m: int, cfg: ScanConfig) -> RadialScan:
-    """Radial scan of the Kuo or Thom quantity."""
-    if which not in qt.QUANTITIES:
-        raise ValueError(f"unknown quantity {which!r}; expected 'kuo' or 'thom'")
-    quantity = qt.QUANTITIES[which]
-    return scan_spheres(lambda x: quantity(germ, m, x), germ.n, cfg)
+def scan_quantity(
+    germ: MapGerm, quantity: qt.Quantity, m: int, cfg: ScanConfig, constraint: HornConstraint | None = None
+) -> RadialScan:
+    """Radial scan of a quantity of quantities.py at m."""
+    return scan_spheres(lambda x: quantity.value(germ, m, x), germ.n, cfg, constraint=constraint)
 
 
 def _check_r(r: int) -> None:
@@ -424,11 +413,12 @@ def _check_r(r: int) -> None:
 
 @dataclass(frozen=True)
 class Condition:
-    """F >= C * |x|^target(r) near 0, decided for every r on one scan of F."""
+    """quantity(m) >= C * |x|^target(r) near 0, decided for every r on one scan."""
 
     name: str
-    scan: str  # the name of the scan of F in reports
-    scan_fn: Callable[[MapGerm, ScanConfig], RadialScan]
+    scan: str  # the name of the scan in reports
+    quantity: qt.Quantity
+    m: int
     target: Callable[[int], int]
 
     def verdict(self, scan: RadialScan, r: int, cfg: ScanConfig) -> ConditionVerdict:
@@ -438,14 +428,12 @@ class Condition:
 #: The conditions whose scan does not depend on r, in report order.
 CONDITIONS: dict[str, Condition] = {c.name: c for c in (
     # |grad f| >= C |x|^(r-1), single equations only
-    Condition("kuiper-kuo", "gradient", scan_gradient_norm, lambda r: r - 1),
+    Condition("kuiper-kuo", "gradient", qt.GRADIENT, 1, lambda r: r - 1),
     # |x| * (minor sum) + |f(x)| >= C |x|^r: the Kuo quantity at m = 1
-    Condition("ktilde", "kuo_m1", lambda germ, cfg: scan_quantity(germ, "kuo", 1, cfg), lambda r: r),
+    Condition("ktilde", "kuo_m1", qt.KUO, 1, lambda r: r),
     # the paired inequalities: Thom and Kuo quantities at m = 2 against |x|^(2r)
-    Condition("thom-inequality", "thom_m2", lambda germ, cfg: scan_quantity(germ, "thom", 2, cfg),
-              lambda r: 2 * r),
-    Condition("kuo-inequality", "kuo_m2", lambda germ, cfg: scan_quantity(germ, "kuo", 2, cfg),
-              lambda r: 2 * r),
+    Condition("thom-inequality", "thom_m2", qt.THOM, 2, lambda r: 2 * r),
+    Condition("kuo-inequality", "kuo_m2", qt.KUO, 2, lambda r: 2 * r),
 )}
 
 
@@ -455,10 +443,12 @@ def conditions_for(germ: MapGerm) -> list[Condition]:
 
 
 def check_condition(germ: MapGerm, name: str, r: int, cfg: ScanConfig) -> ConditionVerdict:
-    """Decide one condition of CONDITIONS at one r, scanning its function."""
+    """Decide one condition of CONDITIONS at one r, scanning its quantity."""
     _check_r(r)
     condition = CONDITIONS[name]
-    return condition.verdict(condition.scan_fn(germ, cfg), r, cfg)
+    if condition not in conditions_for(germ):
+        raise ValueError(f"{name} requires a single-component germ")
+    return condition.verdict(scan_quantity(germ, condition.quantity, condition.m, cfg), r, cfg)
 
 
 def check_horn(r: int, wbar: float, cfg: ScanConfig) -> None:
@@ -484,7 +474,7 @@ def check_kuo(germ: MapGerm, r: int, wbar: float, cfg: ScanConfig) -> ConditionV
     """
     check_horn(r, wbar, cfg)
     constraint = HornConstraint(germ, r, wbar)
-    scan = scan_minor_sum(germ, cfg, constraint=constraint)
+    scan = scan_quantity(germ, qt.MINOR_SUM, 1, cfg, constraint=constraint)
     return verdict_from_scan(f"kuo r={r} wbar={wbar:g}", scan, r - 1, cfg, constrained=True)
 
 
@@ -543,8 +533,8 @@ def ratio_stability_probe(
         lengths[lengths < 1e-12] = 1.0
         radii = ball_radius * rng.uniform(size=points) ** (1.0 / germ.n)
         pts = dirs / lengths[:, None] * radii[:, None]
-        kv = qt.kuo_value(germ, m, pts)
-        tv = qt.thom_value(germ, m, pts)
+        kv = qt.KUO.value(germ, m, pts)
+        tv = qt.THOM.value(germ, m, pts)
         mask = (kv > 0.0) & (tv > 0.0)
         if not np.any(mask):
             raise ValueError("both quantities vanish at every sampled point")

@@ -3,22 +3,23 @@
 For a germ f = (f_1, ..., f_p): (R^n, 0) -> (R^p, 0) with p <= n, the two
 quantities compared throughout this package are
 
-    kuo(f, m, x)  = |x|^m  * sum over p-subsets I of |det J_I(x)|^m + |f(x)|^m
-    thom(f, m, x) = sum over (p+1)-subsets I of |det JT_I(x)|^m    + |f(x)|^m
+    K_m(x) = |x|^m * sum over p-subsets I of |det J_I(x)|^m + |f(x)|^m
+    T_m(x) = sum over (p+1)-subsets I of |det JT_I(x)|^m    + |f(x)|^m
 
 where J_I is the p x p submatrix of the Jacobian of f using the columns in
 I, and JT_I is the (p+1) x (p+1) submatrix of the Jacobian of (f, rho)
 with rho(x) = |x|^2.  Norms are Euclidean.  When n == p there are no
 (p+1)-subsets and the Thom quantity reduces to |f(x)|^m.
 
-The proof works with the split
-
-    u = |f(x)|        v = |x| * sum |det J_I(x)|     w = sum |det JT_I(x)|
-    h = v + u         g = w + u
-
-whose parts component_norm (u), kuo_minor_sum (v / |x|, at m = 1) and
-thom_minor_sum (w, at m = 1) give at one point or at the rows of an array
-of points, as do the float quantities kuo_value and thom_value.
+Each quantity is written once, as a short tuple of pieces (a, table,
+euclidean) whose value at m is the sum of |x|^(a*m) * N_m(G) over them.
+G is one of three tables of polynomials: the components of f, its
+p-minors or its Thom minors, and N_m(G) is |G|_2^m when euclidean is set
+and the sum of |g|^m otherwise.  Besides KUO and THOM the scans read the
+gradient norm |grad f| (p = 1), the minor sum of the horn check and |f|
+of the horn mask.  Every route reads the same pieces: the float value at
+a point or at the rows of an array, the exact polynomial for even m, the
+order along an arc at m = 1 and the ideal generators.
 
 Minors are exact symbolic polynomials from one row-by-row Laplace
 recursion over the Jacobian of (f, rho), whose last step expands each
@@ -26,10 +27,10 @@ Thom minor along the rho row:
 
     det JT_I = sum over j in I of +-2 x_j * det J_(I - {j})
 
-The float path evaluates those exact minors and only then takes absolute
-values.  For even m the quantities are themselves polynomials, which gives
-an exact rational evaluation route that is kept deliberately independent
-of the float route.
+The float route evaluates those exact minors and only then takes
+absolute values.  The routes share the pieces, so their independent
+checks live in the tests: a hand-written exact value, the Gram and Schur
+identities of the minor sums and the full composition with an arc.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, _is_rows
+from .poly import INF, Polynomial, _is_rows
 
 IndexTuple = tuple[int, ...]
 
@@ -146,132 +147,85 @@ def build_minors(germ: MapGerm) -> MinorCache:
 
 
 # ---------------------------------------------------------------------------
-# Float route: one point, or the rows of an (N, n) array of points
-#
-# Each function takes either, like Polynomial.eval_float.  A point keeps
-# Python float arithmetic and an array numpy's; the two round differently
-# in the last bit, so neither is ever converted to the other.
+# The quantities, each described once by its pieces
 
 
-def _zero(x):
-    return np.zeros(len(x)) if _is_rows(x) else 0.0
+def _table(germ: MapGerm, table: str) -> Sequence[Polynomial]:
+    """The polynomials of a table: "components", or the minor table of
+    MinorCache named "p_minors" or "thom_minors"."""
+    if table == "components":
+        return germ.components
+    return [poly for _, poly in getattr(build_minors(germ), table)]
 
 
-def _check_point(germ: MapGerm, x) -> None:
-    width = x.shape[1] if _is_rows(x) else len(x)
-    if width != germ.n:
-        raise ValueError(f"point has {width} coordinates, germ expects {germ.n}")
+@dataclass(frozen=True)
+class Quantity:
+    """The sum over pieces (a, table, euclidean) of |x|^(a*m) * N_m(G), with
+    G the polynomials of the table and N_m(G) = |G|_2^m if euclidean, else
+    the sum of |g|^m."""
+
+    pieces: tuple[tuple[int, str, bool], ...]
+
+    def value(self, germ: MapGerm, m: int, x):
+        """The float value at one point, or at each row of an (N, n) array.
+
+        A point keeps Python float arithmetic (math.hypot for a Euclidean
+        norm) and an array numpy's; the two round differently in the last
+        bit, so neither is ever converted to the other.  Minors are exact
+        polynomials evaluated before any absolute value is taken, and the
+        evaluation checks the width of x.
+        """
+        if m < 1:
+            raise ValueError("m must be a positive integer")
+        rows, total = _is_rows(x), None
+        for a, table, euclidean in self.pieces:
+            if table == "components":  # _table inlined: no list of polynomials on the descent's hot path
+                values = [poly.eval_float(x) for poly in germ.components]
+            else:
+                values = [poly.eval_float(x) for _, poly in getattr(build_minors(germ), table)]
+            if euclidean:
+                part = (np.sqrt(sum((v**2 for v in values), np.zeros(len(x)))) if rows else math.hypot(*values)) ** m
+            else:
+                part = sum((abs(v) ** m for v in values), np.zeros(len(x)) if rows else 0.0)
+            if a:
+                part = (np.sqrt(np.sum(x * x, axis=1)) if rows else math.hypot(*x)) ** (a * m) * part
+            total = part if total is None else total + part
+        return total
+
+    def polynomial(self, germ: MapGerm, m: int) -> Polynomial:
+        """For even m the quantity is exactly a polynomial: |x|^(a*m) is
+        rho^(a*m/2), |G|_2^m is (sum of g^2)^(m/2) and |g|^m is g^m."""
+        if m < 2 or m % 2:
+            raise ValueError("the exact route needs a positive even m")
+        zero = total = Polynomial.zero(germ.n)
+        for a, table, euclidean in self.pieces:
+            if euclidean:
+                part = sum((g**2 for g in _table(germ, table)), zero) ** (m // 2)
+            else:
+                part = sum((g**m for g in _table(germ, table)), zero)
+            total = total + (rho_polynomial(germ.n) ** (a * m // 2) * part if a else part)
+        return total
+
+    def order(self, ord_norm_x: int, orders: Mapping[str, Sequence[float]]) -> float:
+        """The order at t = 0+ along an arc at m = 1 (m times it at m), from
+        ord |lambda| and the orders of each table's polynomials along the arc:
+        the minimum over pieces of a * ord |lambda| + the least order in G."""
+        return min(a * ord_norm_x + min(orders[table], default=INF) for a, table, _ in self.pieces)
+
+    def generators(self, germ: MapGerm) -> tuple[Polynomial, ...]:
+        """The polynomials of every piece, in piece order: components first."""
+        return tuple(g for _, table, _ in self.pieces for g in _table(germ, table))
 
 
-def _norm(values: Sequence, x):
-    """Euclidean norm of values evaluated at x: math.hypot at a point, the
-    root of the summed squares at rows."""
-    if _is_rows(x):
-        return np.sqrt(sum((v**2 for v in values), _zero(x)))
-    return math.hypot(*values)
+KUO = Quantity(((0, "components", True), (1, "p_minors", False)))
+THOM = Quantity(((0, "components", True), (0, "thom_minors", False)))
+GRADIENT = Quantity(((0, "p_minors", True),))  # |grad f|, for p == 1
+MINOR_SUM = Quantity(((0, "p_minors", False),))  # the horn scan, at m = 1
+COMPONENTS = Quantity(((0, "components", True),))  # |f|, the horn mask
 
-
-def component_norm(germ: MapGerm, x):
-    """|f| (u in the split above)."""
-    return _norm([c.eval_float(x) for c in germ.components], x)
-
-
-def gradient_norm(germ: MapGerm, x):
-    """Euclidean gradient norm of a single-component germ."""
-    if germ.p != 1:
-        raise ValueError("gradient norm is defined here only for p == 1")
-    return _norm([poly.eval_float(x) for _, poly in build_minors(germ).p_minors], x)
-
-
-def kuo_minor_sum(germ: MapGerm, m: int, x):
-    """Sum of |p-minor|^m (v / |x| in the split above, at m = 1)."""
-    return sum((abs(poly.eval_float(x)) ** m for _, poly in build_minors(germ).p_minors), _zero(x))
-
-
-def thom_minor_sum(germ: MapGerm, m: int, x):
-    """Sum of |Thom minor|^m (w in the split above, at m = 1)."""
-    return sum((abs(poly.eval_float(x)) ** m for _, poly in build_minors(germ).thom_minors), _zero(x))
-
-
-def kuo_value(germ: MapGerm, m: int, x):
-    """The Kuo quantity, float route."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    _check_point(germ, x)
-    norm_x = np.sqrt(np.sum(x * x, axis=1)) if _is_rows(x) else math.hypot(*x)
-    return norm_x**m * kuo_minor_sum(germ, m, x) + component_norm(germ, x) ** m
-
-
-def thom_value(germ: MapGerm, m: int, x):
-    """The Thom quantity, float route."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    _check_point(germ, x)
-    return thom_minor_sum(germ, m, x) + component_norm(germ, x) ** m
-
-
-QUANTITIES: dict[str, Callable] = {"kuo": kuo_value, "thom": thom_value}
-
-
-# ---------------------------------------------------------------------------
-# Exact route (even m), used as an independent oracle for the float route
-
-
-def _require_even(m: int) -> None:
-    if m < 2 or m % 2:
-        raise ValueError("the exact route needs a positive even m")
-
-
-def kuo_polynomial(germ: MapGerm, m: int) -> Polynomial:
-    """For even m the Kuo quantity is the polynomial rho^(m/2) * sum of
-    m-th powers of the p-minors plus (sum of squared components)^(m/2)."""
-    _require_even(m)
-    cache = build_minors(germ)
-    half = m // 2
-    minors = Polynomial.zero(germ.n)
-    for _, poly in cache.p_minors:
-        minors = minors + poly**m
-    comp_sq = Polynomial.zero(germ.n)
-    for c in germ.components:
-        comp_sq = comp_sq + c**2
-    return cache.rho**half * minors + comp_sq**half
-
-
-def thom_polynomial(germ: MapGerm, m: int) -> Polynomial:
-    """Even-m Thom quantity as an exact polynomial."""
-    _require_even(m)
-    cache = build_minors(germ)
-    half = m // 2
-    minors = Polynomial.zero(germ.n)
-    for _, poly in cache.thom_minors:
-        minors = minors + poly**m
-    comp_sq = Polynomial.zero(germ.n)
-    for c in germ.components:
-        comp_sq = comp_sq + c**2
-    return minors + comp_sq**half
-
-
-def kuo_value_exact(germ: MapGerm, m: int, x: Sequence[object]) -> Fraction:
-    """Exact Kuo quantity at a rational point (even m only)."""
-    _require_even(m)
-    _check_point(germ, x)
-    cache = build_minors(germ)
-    half = m // 2
-    norm_sq = sum((Fraction(c) ** 2 for c in x), Fraction(0))
-    minor_sum = sum((poly.eval_exact(x) ** m for _, poly in cache.p_minors), Fraction(0))
-    comp_sq = sum((c.eval_exact(x) ** 2 for c in germ.components), Fraction(0))
-    return norm_sq**half * minor_sum + comp_sq**half
-
-
-def thom_value_exact(germ: MapGerm, m: int, x: Sequence[object]) -> Fraction:
-    """Exact Thom quantity at a rational point (even m only)."""
-    _require_even(m)
-    _check_point(germ, x)
-    cache = build_minors(germ)
-    half = m // 2
-    minor_sum = sum((poly.eval_exact(x) ** m for _, poly in cache.thom_minors), Fraction(0))
-    comp_sq = sum((c.eval_exact(x) ** 2 for c in germ.components), Fraction(0))
-    return minor_sum + comp_sq**half
+QUANTITIES: dict[str, Quantity] = {"kuo": KUO, "thom": THOM}
+kuo_value, thom_value = KUO.value, THOM.value
+kuo_polynomial, thom_polynomial = KUO.polynomial, THOM.polynomial
 
 
 def kuo_m1_at_least(germ: MapGerm, x: Sequence[object], bound: object) -> bool:
@@ -283,7 +237,8 @@ def kuo_m1_at_least(germ: MapGerm, x: Sequence[object], bound: object) -> bool:
     t2 = U, the inequality sqrt(t1) + sqrt(t2) >= b holds iff b <= 0, or
     b^2 - t1 - t2 <= 0, or 4*t1*t2 >= (b^2 - t1 - t2)^2.
     """
-    _check_point(germ, x)
+    if len(x) != germ.n:
+        raise ValueError(f"point has {len(x)} coordinates, germ expects {germ.n}")
     b = bound if isinstance(bound, Fraction) else Fraction(bound)
     if b <= 0:
         return True
@@ -297,19 +252,3 @@ def kuo_m1_at_least(germ: MapGerm, x: Sequence[object], bound: object) -> bool:
     if rhs <= 0:
         return True
     return 4 * t1 * t2 >= rhs * rhs
-
-
-# ---------------------------------------------------------------------------
-# Ideal generators
-
-
-def ideal_generators_kuo(germ: MapGerm) -> tuple[Polynomial, ...]:
-    """Components of f together with all p-minors of its Jacobian."""
-    cache = build_minors(germ)
-    return tuple(germ.components) + tuple(poly for _, poly in cache.p_minors)
-
-
-def ideal_generators_thom(germ: MapGerm) -> tuple[Polynomial, ...]:
-    """Components of f together with all (p+1)-minors of the Jacobian of (f, rho)."""
-    cache = build_minors(germ)
-    return tuple(germ.components) + tuple(poly for _, poly in cache.thom_minors)

@@ -445,7 +445,7 @@ def check_relative(
         raise ValueError("Sigma and the germ live in different variable counts")
     if not isinstance(r, int) or r < 1 or m < 1:
         raise ValueError("r and m must be positive integers")
-    rows = _band_rows(sigma, cfg, lambda pts: qt.QUANTITIES[which](germ, m, pts))
+    rows = _band_rows(sigma, cfg, lambda pts: qt.QUANTITIES[which].value(germ, m, pts))
     diagnostics: list[str] = []
     if isinstance(sigma, CoordinateSubspaceUnion) and sigma.is_origin_only:
         diagnostics.append(

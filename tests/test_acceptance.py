@@ -25,12 +25,11 @@ from kuothom import relative as rel
 from kuothom.cli import main
 from kuothom.lojasiewicz import (
     ScanConfig,
-    scan_gradient_norm,
     scan_quantity,
     sufficiency_degree_estimate,
     verdict_from_scan,
 )
-from kuothom.quantities import kuo_minor_sum, thom_minor_sum
+from kuothom.quantities import GRADIENT, KUO, THOM, build_minors
 from kuothom.seeds import subsystem_seed
 from corpus import MASTER_SEED, corpus_arcs, corpus_germ, corpus_germs
 
@@ -148,8 +147,9 @@ def test_criterion_05_thom_minors_dominated_pointwise():
     for i, germ in enumerate(corpus_germs()):
         rng = np.random.default_rng(subsystem_seed(MASTER_SEED, f"domination:{i}"))
         pts = rng.uniform(-0.8, 0.8, size=(500, germ.n))
-        v = np.sqrt(np.sum(pts * pts, axis=1)) * kuo_minor_sum(germ, 1, pts)
-        w = thom_minor_sum(germ, 1, pts)
+        cache, zero = build_minors(germ), np.zeros(len(pts))
+        v = np.sqrt(np.sum(pts * pts, axis=1)) * sum((np.abs(m.eval_float(pts)) for _, m in cache.p_minors), zero)
+        w = sum((np.abs(m.eval_float(pts)) for _, m in cache.thom_minors), zero)
         worst = max(worst, float(np.max(w - 2 * (germ.n - germ.p) * v)))
         total += len(pts)
     assert total == 100_000
@@ -165,7 +165,7 @@ def test_criterion_06_gradient_slopes_and_sufficiency():
     for text, want_slope, want_degree in cases:
         germ = mk([text], 2)
         t0 = time.perf_counter()
-        scan = scan_gradient_norm(germ, cfg)
+        scan = scan_quantity(germ, GRADIENT, 1, cfg)
         estimate = verdict_from_scan("gradient", scan, want_slope, cfg).estimate
         degree = sufficiency_degree_estimate(scan, 6, cfg)
         elapsed = time.perf_counter() - t0
@@ -185,8 +185,8 @@ def test_criterion_07_kuo_thom_verdicts_agree():
     disagreements = []
     for i in range(20):
         germ = corpus_germ(i)
-        scan_k = scan_quantity(germ, "kuo", 2, cfg)
-        scan_t = scan_quantity(germ, "thom", 2, cfg)
+        scan_k = scan_quantity(germ, KUO, 2, cfg)
+        scan_t = scan_quantity(germ, THOM, 2, cfg)
         for r in range(1, 7):
             holds_k = verdict_from_scan(f"kuo-inequality r={r}", scan_k, 2 * r, cfg).holds
             holds_t = verdict_from_scan(f"thom-inequality r={r}", scan_t, 2 * r, cfg).holds

@@ -76,14 +76,12 @@ def test_arc_nvars_pads_zero_components():
 
 
 def test_ledger_scalar_germ_on_cusp_arc():
-    # f vanishes identically on the arc; the minor orders keep v finite
+    # f vanishes identically on the arc; the minor orders keep h finite
     led = ledger(SCALAR_GERM, CUSP_ARC)
-    assert led.ord_u == INF
+    assert led.ord_f == (INF,)
     assert led.ord_norm_x == 1
     assert [o for _, o in led.ord_minors] == [0, 1]
-    assert led.ord_v == 1
     assert [o for _, o in led.ord_thom_minors] == [1]
-    assert led.ord_w == 1
     assert led.ord_h == 1
     assert led.ord_g == 1
 
@@ -91,18 +89,15 @@ def test_ledger_scalar_germ_on_cusp_arc():
 def test_ledger_plane_pair_on_cusp_arc():
     led = ledger(PLANE_GERM, CUSP_ARC)
     assert led.ord_f == (INF, 4)
-    assert led.ord_u == 4
     assert [o for _, o in led.ord_minors] == [3]
-    assert led.ord_v == 4
     assert led.ord_thom_minors == ()
-    assert led.ord_w == INF
     assert led.ord_h == 4
     assert led.ord_g == 4
 
 
 def test_ledger_on_swapped_arc():
     led = ledger(SCALAR_GERM, parse_arc("t; t^2"))
-    assert led.ord_u == 1
+    assert led.ord_f == (1,)
 
 
 def test_ledger_dimension_mismatch():
@@ -115,11 +110,11 @@ def test_ledger_min_rules(index):
     germ = corpus_germ(index)
     for arc in corpus_arcs(index, germ.n, count=6):
         led = ledger(germ, arc)
-        assert led.ord_h == min(led.ord_v, led.ord_u)
-        assert led.ord_g == min(led.ord_w, led.ord_u)
-        minor_min = min((o for _, o in led.ord_minors), default=INF)
-        assert led.ord_v == led.ord_norm_x + minor_min
-        assert led.ord_u == min(led.ord_f)
+        # ord |f| = least ord f_j; ord K_1 adds ord |x| to the least p-minor
+        # order, and ord T_1 takes the least Thom minor order
+        ord_f = min(led.ord_f)
+        assert led.ord_h == min(ord_f, led.ord_norm_x + min((o for _, o in led.ord_minors), default=INF))
+        assert led.ord_g == min(ord_f, min((o for _, o in led.ord_thom_minors), default=INF))
 
 
 # -- arc orders of the two quantities ---------------------------------------------

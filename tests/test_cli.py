@@ -130,14 +130,14 @@ def test_analyze_scans_the_gradient_once(ws, monkeypatch):
     # kuiper-kuo at every r and the sufficiency degree read one gradient
     # scan: one grid evaluation (an array call) per sphere of the ladder
     calls = []
-    real = kuothom.quantities.gradient_norm
+    real = kuothom.quantities.Quantity.value
 
-    def counting(germ, x):
-        if np.ndim(x) == 2:
+    def counting(quantity, germ, m, x):
+        if quantity is kuothom.quantities.GRADIENT and np.ndim(x) == 2:
             calls.append(len(x))
-        return real(germ, x)
+        return real(quantity, germ, m, x)
 
-    monkeypatch.setattr(kuothom.quantities, "gradient_norm", counting)
+    monkeypatch.setattr(kuothom.quantities.Quantity, "value", counting)
     assert run_analyze(ws, "x^3 - 3*x*y^2\n") == 0
     assert len(calls) == len(FAST_CONFIG["radii"])
     assert read_report(ws, "analyze")["results"]["sufficiency_degree"] == 3

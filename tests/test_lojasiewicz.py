@@ -19,13 +19,8 @@ from kuothom import (
     sufficiency_degree_estimate,
     Polynomial,
 )
-from kuothom.lojasiewicz import (
-    HornConstraint,
-    scan_gradient_norm,
-    scan_minor_sum,
-    scan_quantity,
-    verdict_from_scan,
-)
+from kuothom.lojasiewicz import HornConstraint, scan_quantity, verdict_from_scan
+from kuothom.quantities import GRADIENT, KUO, MINOR_SUM
 
 # tests trade grid density for speed; the defaults are denser
 FAST = ScanConfig(grid_per_angle=180, multistarts=4, hi_dim_directions=512)
@@ -185,8 +180,8 @@ def test_horn_restriction_changes_the_scan():
     # the parabola, where 1 + 2|y| stays clear of its global sphere minimum
     germ = mk(["x - y^2"], 2)
     constraint = HornConstraint(germ=germ, r=2, wbar=1.0)
-    free = scan_minor_sum(germ, FAST)
-    constrained = scan_minor_sum(germ, FAST, constraint)
+    free = scan_quantity(germ, MINOR_SUM, 1, FAST)
+    constrained = scan_quantity(germ, MINOR_SUM, 1, FAST, constraint)
     assert all(f < t for f, t in zip(constrained.feasible, constrained.total))
     assert all(f == t for f, t in zip(free.feasible, free.total))
     for lo, hi in zip(free.min_values, constrained.min_values):
@@ -259,14 +254,14 @@ def test_zero_map_fails_every_target():
 
 
 def test_sufficiency_degree_examples():
-    assert sufficiency_degree_estimate(scan_gradient_norm(ROUND_GERM, FAST), 6, FAST) == 2
-    assert sufficiency_degree_estimate(scan_gradient_norm(TRIPLE_GERM, FAST), 6, FAST) == 3
-    assert sufficiency_degree_estimate(scan_gradient_norm(mk(["x"], 2), FAST), 6, FAST) == 1
+    assert sufficiency_degree_estimate(scan_quantity(ROUND_GERM, GRADIENT, 1, FAST), 6, FAST) == 2
+    assert sufficiency_degree_estimate(scan_quantity(TRIPLE_GERM, GRADIENT, 1, FAST), 6, FAST) == 3
+    assert sufficiency_degree_estimate(scan_quantity(mk(["x"], 2), GRADIENT, 1, FAST), 6, FAST) == 1
 
 
 def test_sufficiency_degree_can_be_undetermined():
     germ = map_germ([Polynomial.zero(2)])
-    assert sufficiency_degree_estimate(scan_gradient_norm(germ, FAST), 4, FAST) is None
+    assert sufficiency_degree_estimate(scan_quantity(germ, GRADIENT, 1, FAST), 4, FAST) is None
 
 
 # -- ratio stability ---------------------------------------------------------------
@@ -294,8 +289,8 @@ def test_verdicts_are_deterministic():
 
 
 def test_scans_are_deterministic():
-    a = scan_quantity(PLANE_GERM, "kuo", 2, FAST)
-    b = scan_quantity(PLANE_GERM, "kuo", 2, FAST)
+    a = scan_quantity(PLANE_GERM, KUO, 2, FAST)
+    b = scan_quantity(PLANE_GERM, KUO, 2, FAST)
     assert a == b
 
 

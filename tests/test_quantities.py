@@ -1,4 +1,4 @@
-"""Jacobian minors, the two quantities, and the u,v,w,h,g split."""
+"""Jacobian minors, the quantities and their pieces, and the u,v,w,h,g split."""
 
 import itertools
 import math
@@ -9,24 +9,23 @@ import numpy as np
 import pytest
 
 from kuothom import (
+    Arc,
     MapGerm,
     Polynomial,
     build_minors,
-    ideal_generators_kuo,
-    ideal_generators_thom,
     kuo_m1_at_least,
     kuo_polynomial,
     kuo_value,
-    kuo_value_exact,
+    ledger,
     map_germ,
     parse_polynomial,
     rho_polynomial,
     thom_polynomial,
     thom_value,
-    thom_value_exact,
+    UniPoly,
 )
-from kuothom.quantities import component_norm, kuo_minor_sum, thom_minor_sum
-from corpus import corpus_germ
+from kuothom.quantities import COMPONENTS, GRADIENT, KUO, MINOR_SUM, THOM
+from corpus import corpus_arcs, corpus_germ
 
 
 def mk(texts: list[str], nvars: int) -> MapGerm:
@@ -103,18 +102,30 @@ def test_minor_counts_and_index_tuples():
 
 
 def _permutation_determinant(rows):
+    """Leibniz's sum over permutations, of Polynomial or rational entries;
+    the empty matrix has determinant 1."""
     n = len(rows)
-    nvars = rows[0][0].nvars
-    total = Polynomial.zero(nvars)
+    total = 0
     for perm in itertools.permutations(range(n)):
         inversions = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        prod = Polynomial.constant(nvars, (-1) ** inversions)
+        prod = (-1) ** inversions
         for r in range(n):
             prod = prod * rows[r][perm[r]]
         total = total + prod
     return total
+
+
+def _jacobian_rows(germ: MapGerm):
+    """The rows of df, then the row of d(rho) = 2x."""
+    n = germ.n
+    rows = [[c.partial(i) for i in range(n)] for c in germ.components]
+    return rows + [[Polynomial.constant(n, 2) * Polynomial.variable(n, i) for i in range(n)]]
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Polynomial.zero(u[0].nvars))
 
 
 def _dense_germ(n: int, p: int, seed: int) -> MapGerm:
@@ -138,8 +149,7 @@ def test_minors_match_permutation_expansion(germ):
     # every p-minor of df and every Thom minor of d(f, rho), against the
     # permutation expansion of its submatrix: an oracle without cofactors
     n, p = germ.n, germ.p
-    rows = [[c.partial(i) for i in range(n)] for c in germ.components]
-    rows.append([Polynomial.constant(n, 2) * Polynomial.variable(n, i) for i in range(n)])
+    rows = _jacobian_rows(germ)
     cache = build_minors(germ)
     for k, minors in ((p, cache.p_minors), (p + 1, cache.thom_minors)):
         assert [cols for cols, _ in minors] == list(itertools.combinations(range(n), k))
@@ -153,14 +163,36 @@ def test_minor_sums_are_gram_determinants(index):
     # build_minors: with A the Jacobian and B = [A; 2x^T], the squared
     # p-minors sum to det(A A^T) and the squared Thom minors to det(B B^T)
     germ = corpus_germ(index)
-    n = germ.n
-    a = [[c.partial(i) for i in range(n)] for c in germ.components]
-    b = a + [[Polynomial.constant(n, 2) * Polynomial.variable(n, i) for i in range(n)]]
+    b = _jacobian_rows(germ)
     cache = build_minors(germ)
-    for rows, minors in ((a, cache.p_minors), (b, cache.thom_minors)):
-        gram = [[sum((u * v for u, v in zip(r, s)), Polynomial.zero(n)) for s in rows] for r in rows]
-        squares = sum((m * m for _, m in minors), Polynomial.zero(n))
+    for rows, minors in ((b[:-1], cache.p_minors), (b, cache.thom_minors)):
+        gram = [[_dot(r, s) for s in rows] for r in rows]
+        squares = sum((m * m for _, m in minors), Polynomial.zero(germ.n))
         assert squares == _permutation_determinant(gram)
+
+
+@pytest.mark.parametrize("index", range(24))
+def test_schur_identity_ties_thom_to_kuo(index):
+    # With A = df and B = [A; 2x^T], the Schur complement of A A^T in B B^T
+    # gives det(B B^T) = 4|x|^2 det(A A^T) - 4R, R = (Ax)^T adj(A A^T) (Ax),
+    # so T_2 = 4 K_2 - 3|f|^2 - 4R.  The adjugate comes from cofactors of
+    # the Gram matrix, so this ties the THOM pieces to the KUO pieces and to
+    # x without going through build_minors.
+    germ = corpus_germ(index)
+    n, p = germ.n, germ.p
+    a = _jacobian_rows(germ)[:p]
+    ax = [_dot(row, [Polynomial.variable(n, i) for i in range(n)]) for row in a]
+    gram = [[_dot(r, s) for s in a] for r in a]
+
+    def cofactor(i, j):
+        """(-1)^(i+j) det of the Gram matrix without row i and column j."""
+        rest = [[e for c, e in enumerate(row) if c != j] for k, row in enumerate(gram) if k != i]
+        return (-1) ** (i + j) * _permutation_determinant(rest)
+
+    # adj(G)[i][j] is the (j, i) cofactor
+    r = sum((ax[i] * cofactor(j, i) * ax[j] for i in range(p) for j in range(p)), Polynomial.zero(n))
+    f_sq = _dot(germ.components, germ.components)
+    assert THOM.polynomial(germ, 2) == 4 * KUO.polynomial(germ, 2) - 3 * f_sq - 4 * r
 
 
 # -- symbolic quantities --------------------------------------------------------
@@ -180,7 +212,7 @@ def test_symbolic_route_requires_even_power():
     with pytest.raises(ValueError):
         kuo_polynomial(PLANE_GERM, 1)
     with pytest.raises(ValueError):
-        thom_value_exact(PLANE_GERM, 3, (0, 0))
+        thom_polynomial(PLANE_GERM, 3)
 
 
 def test_quantity_difference_is_nonnegative_polynomial():
@@ -205,11 +237,13 @@ def test_thom_value_hand_example():
 
 
 def uvwhg(germ: MapGerm, pts) -> tuple[np.ndarray, ...]:
-    """The proof split u, v, w, h, g at the rows of pts."""
+    """The proof split u = |f|, v = |x| * (sum of |p-minors|), w = sum of
+    |Thom minors|, h = v + u and g = w + u at the rows of pts, by hand."""
     pts = np.asarray(pts, dtype=float)
-    u = component_norm(germ, pts)
-    v = np.sqrt(np.sum(pts * pts, axis=1)) * kuo_minor_sum(germ, 1, pts)
-    w = thom_minor_sum(germ, 1, pts)
+    cache, zero = build_minors(germ), np.zeros(len(pts))
+    u = np.sqrt(sum((c.eval_float(pts) ** 2 for c in germ.components), zero))
+    v = np.sqrt(np.sum(pts * pts, axis=1)) * sum((np.abs(m.eval_float(pts)) for _, m in cache.p_minors), zero)
+    w = sum((np.abs(m.eval_float(pts)) for _, m in cache.thom_minors), zero)
     return u, v, w, v + u, w + u
 
 
@@ -231,6 +265,17 @@ def test_uvwhg_hand_example():
 
 def test_uvwhg_identity_example():
     assert [s.tolist() for s in uvwhg(IDENTITY_2, [(1.0, 0.0)])] == [[1.0], [1.0], [0.0], [2.0], [1.0]]
+
+
+def test_scan_quantities_hand_example():
+    # f = x^3 - 3xy^2 at (1, 2): grad f = (3 - 12, -12) = (-9, -12)
+    germ, x = mk(["x^3 - 3*x*y^2"], 2), (1.0, 2.0)
+    assert GRADIENT.value(germ, 1, x) == pytest.approx(15.0, abs=1e-12)
+    assert MINOR_SUM.value(germ, 1, x) == pytest.approx(21.0, abs=1e-12)
+    assert COMPONENTS.value(germ, 1, x) == pytest.approx(11.0, abs=1e-12)
+    rows = np.asarray([x, (0.0, 0.0)])
+    assert GRADIENT.value(germ, 1, rows).tolist() == pytest.approx([15.0, 0.0], abs=1e-12)
+    assert COMPONENTS.value(germ, 2, rows).tolist() == pytest.approx([121.0, 0.0], abs=1e-12)
 
 
 def test_point_dimension_checked():
@@ -291,6 +336,30 @@ def test_thom_minor_domination(index):
 
 
 # -- float route against the exact route ----------------------------------------
+#
+# The oracle is written from the paper's definitions and shares nothing
+# with the pieces of quantities.py or with build_minors: each minor is the
+# permutation expansion of a submatrix of the Jacobian, evaluated exactly.
+
+
+def _exact_minors(germ: MapGerm, k: int, q) -> list[Fraction]:
+    """Every k x k minor, on the first k rows of d(f, rho), at a rational point."""
+    rows = [[e.eval_exact(q) for e in row] for row in _jacobian_rows(germ)[:k]]
+    return [_permutation_determinant([[row[c] for c in cols] for row in rows])
+            for cols in itertools.combinations(range(germ.n), k)]
+
+
+def kuo_value_exact(germ: MapGerm, m: int, q) -> Fraction:
+    """K_m = |x|^m * sum |p-minor|^m + |f|^m at a rational point, even m."""
+    norm_sq = sum(Fraction(c) ** 2 for c in q)
+    f_sq = sum(c.eval_exact(q) ** 2 for c in germ.components)
+    return norm_sq ** (m // 2) * sum(d**m for d in _exact_minors(germ, germ.p, q)) + f_sq ** (m // 2)
+
+
+def thom_value_exact(germ: MapGerm, m: int, q) -> Fraction:
+    """T_m = sum |(p+1)-minor of d(f, rho)|^m + |f|^m at a rational point, even m."""
+    f_sq = sum(c.eval_exact(q) ** 2 for c in germ.components)
+    return sum(d**m for d in _exact_minors(germ, germ.p + 1, q)) + f_sq ** (m // 2)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 5, 6, 7, 8])
@@ -307,9 +376,14 @@ def test_float_values_match_exact_rational_route(index, m):
 
 
 def test_exact_values_are_polynomial_evaluations():
-    q = (Fraction(1, 2), Fraction(-1, 3))
-    assert kuo_value_exact(PLANE_GERM, 2, q) == kuo_polynomial(PLANE_GERM, 2).eval_exact(q)
-    assert thom_value_exact(PLANE_GERM, 2, q) == thom_polynomial(PLANE_GERM, 2).eval_exact(q)
+    rng = random.Random(4000)
+    for germ in [PLANE_GERM] + [corpus_germ(i) for i in (0, 1, 2, 5, 11, 23)]:
+        for m in (2, 4):
+            kuo_m, thom_m = kuo_polynomial(germ, m), thom_polynomial(germ, m)
+            for _ in range(3):
+                q = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(germ.n))
+                assert kuo_value_exact(germ, m, q) == kuo_m.eval_exact(q)
+                assert thom_value_exact(germ, m, q) == thom_m.eval_exact(q)
 
 
 def test_vectorized_values_match_scalar():
@@ -362,7 +436,7 @@ def test_kuo_m1_at_least_at_origin():
 
 
 def test_ideal_generators_of_plane_pair():
-    gens = ideal_generators_kuo(PLANE_GERM)
+    gens = KUO.generators(PLANE_GERM)
     assert gens == (
         parse_polynomial("x - y^2", 2),
         parse_polynomial("x^2", 2),
@@ -372,14 +446,76 @@ def test_ideal_generators_of_plane_pair():
 
 def test_ideal_generators_scalar_thom():
     germ = mk(["x"], 2)
-    gens = ideal_generators_thom(germ)
+    gens = THOM.generators(germ)
     assert gens == (parse_polynomial("x", 2), parse_polynomial("2*y", 2))
 
 
 def test_ideal_generators_identity_thom():
-    gens = ideal_generators_thom(IDENTITY_2)
+    gens = THOM.generators(IDENTITY_2)
     assert gens == (parse_polynomial("x", 2), parse_polynomial("y", 2))
 
 
 def test_minor_cache_is_bounded():
     assert build_minors.cache_info().maxsize is not None
+
+
+# -- exact rotations ------------------------------------------------------------------
+#
+# Under an orthogonal Q, d(f o Q)(x) = df(Qx) Q and |x| = |Qx|, so K_2 and T_2
+# (Gram determinants of the rows of df and of d(f, rho)) commute with the
+# substitution x -> Qx, and along the arc Q^T lambda every ledger order of
+# f o Q equals that of f along lambda.
+
+
+def _rotation(n: int) -> list[list[Fraction]]:
+    """An exact rational rotation: plane rotations (3/5, 4/5) and (5/13, 12/13)
+    in the coordinate planes (0, 1), (1, 2), (2, 3), ..., in turn."""
+    q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n - 1):
+        c, s = (Fraction(3, 5), Fraction(4, 5)) if k % 2 == 0 else (Fraction(5, 13), Fraction(12, 13))
+        g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        g[k][k], g[k][k + 1], g[k + 1][k], g[k + 1][k + 1] = c, -s, s, c
+        q = [[sum(q[i][t] * g[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return q
+
+
+def _substitute(poly: Polynomial, images) -> Polynomial:
+    """poly(images[0], ..., images[n-1]), with Polynomial +, * and ** only."""
+    total = Polynomial.zero(poly.nvars)
+    for mono, coeff in poly.terms.items():
+        term = Polynomial.constant(poly.nvars, coeff)
+        for image, e in zip(images, mono):
+            term = term * image**e
+        total = total + term
+    return total
+
+
+ROTATION_SLICE = [0, 1, 2, 4, 5, 7]
+
+
+@pytest.mark.parametrize("index", ROTATION_SLICE)
+def test_even_m_quantities_commute_with_rotations(index):
+    germ = corpus_germ(index)
+    n, q = germ.n, _rotation(germ.n)
+    assert all(sum(q[i][t] * q[j][t] for t in range(n)) == (i == j) for i in range(n) for j in range(n))
+    qx = [sum((q[i][j] * Polynomial.variable(n, j) for j in range(n)), Polynomial.zero(n)) for i in range(n)]
+    rotated = map_germ([_substitute(c, qx) for c in germ.components])
+    assert KUO.polynomial(rotated, 2) == _substitute(KUO.polynomial(germ, 2), qx)
+    assert THOM.polynomial(rotated, 2) == _substitute(THOM.polynomial(germ, 2), qx)
+
+
+@pytest.mark.parametrize("index", ROTATION_SLICE)
+def test_ledger_orders_are_rotation_invariant(index):
+    germ = corpus_germ(index)
+    n, q = germ.n, _rotation(germ.n)
+    qx = [sum((q[i][j] * Polynomial.variable(n, j) for j in range(n)), Polynomial.zero(n)) for i in range(n)]
+    rotated = map_germ([_substitute(c, qx) for c in germ.components])
+    for arc in corpus_arcs(index, n, count=8):
+        width = max(len(c.coeffs) for c in arc.components)
+        coeffs = [list(c.coeffs) + [Fraction(0)] * (width - len(c.coeffs)) for c in arc.components]
+        # (Q^T lambda)_i = sum_j Q_ji lambda_j, coefficient by coefficient
+        turned = Arc(tuple(UniPoly([sum(q[j][i] * coeffs[j][k] for j in range(n)) for k in range(width)])
+                           for i in range(n)))
+        led, led_rotated = ledger(germ, arc), ledger(rotated, turned)
+        assert (led_rotated.ord_h, led_rotated.ord_g) == (led.ord_h, led.ord_g)
+        assert led_rotated.ord_f == led.ord_f

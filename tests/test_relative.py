@@ -22,13 +22,13 @@ from kuothom import (
     check_condition,
     check_relative,
     deformation,
-    ideal_generators_kuo,
     jets_equal_on_sigma,
     map_germ,
     parse_polynomial,
     parse_sigma,
     sigma_elliptic_probe,
 )
+from kuothom.quantities import KUO
 
 FAST = RelativeScanConfig(bands=6, samples_per_band=96, anchor_directions=4)
 
@@ -374,7 +374,7 @@ def test_compatibility_refuses_jet_mismatch():
 
 def test_elliptic_generators_of_the_square_germ():
     # generators are y^2, the zero x-derivative, and 2y: slopes 2 and 1
-    gens = ideal_generators_kuo(SQUARE_GERM)
+    gens = KUO.generators(SQUARE_GERM)
     report = sigma_elliptic_probe(gens, X_AXIS, 2, FAST)
     assert report.holds
     by_gen = {e.generator: e for e in report.entries}
