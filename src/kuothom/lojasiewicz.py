@@ -30,13 +30,27 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import quantities as qt
 from .quantities import MapGerm
 from .seeds import subsystem_seed
 
 CAVEAT_NUMERICAL = "numerical evidence, not proof"
+
+
+class _DeferredOptimize:
+    """Stands in for `scipy.optimize`, which is imported at the first
+    `minimize` call: importing it is most of the package's import time, and
+    the exact routes (`arcs`, the symbolic quantities) never descend."""
+
+    @staticmethod
+    def minimize(*args, **kwargs):
+        from scipy import optimize as scipy_optimize
+
+        return scipy_optimize.minimize(*args, **kwargs)
+
+
+optimize = _DeferredOptimize()
 
 DEFAULT_RADII: tuple[float, ...] = tuple(0.1 * 2.0**-k for k in range(8))
 

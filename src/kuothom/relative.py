@@ -29,10 +29,9 @@ from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from . import quantities as qt
-from .lojasiewicz import CAVEAT_NUMERICAL, ExponentEstimate, decide_rate
+from .lojasiewicz import CAVEAT_NUMERICAL, ExponentEstimate, decide_rate, optimize
 from .poly import Polynomial, _variable_index, _tokenize, parse_polynomial, variable_names
 from .quantities import MapGerm, map_germ
 from .seeds import subsystem_seed

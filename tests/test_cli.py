@@ -568,11 +568,36 @@ def test_python_m_cli_matches_in_process_main(ws):
         assert (ws / "module" / name).read_bytes() == (ws / "in_process" / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, kuothom.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_module_env())
+_IMPORT_GATE = """
+import sys
+
+def loaded():
+    print("loaded:", sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules))
+
+import kuothom
+loaded()
+import kuothom.cli as cli
+loaded()
+germ, config, out = sys.argv[1:]
+common = ["--germ", germ, "--config", config, "--seed", "7", "--out"]
+assert cli.main(["arcs", *common, out + "/arcs"]) == 0
+loaded()
+assert cli.main(["analyze", *common, out + "/analyze"]) == 0
+loaded()
+"""
+
+
+def test_scipy_optimize_loads_at_the_first_descent_only(ws):
+    # importing the package and its CLI, and an exact `arcs` run, leave
+    # scipy.optimize and scipy.stats unloaded; the first sphere descent of
+    # an n = 2 `analyze` loads scipy.optimize (and n = 2 never needs stats)
+    germ = germ_file(ws, "x - y^2\nx^2\n")
+    (ws / "config.json").write_text(json.dumps({**FAST_CONFIG, "grid_per_angle": 16, "multistarts": 1}))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GATE, str(germ), str(ws / "config.json"), str(ws)],
+                          capture_output=True, text=True, env=_module_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    marks = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+    assert marks == ["loaded: []"] * 3 + ["loaded: ['scipy.optimize']"]
 
 
 def test_console_script(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kuothom.lojasiewicz as lj
 import kuothom.relative as rel
 from kuothom import (
     AlgebraicSet,
@@ -24,6 +25,7 @@ from kuothom import (
     deformation,
     jets_equal_on_sigma,
     map_germ,
+    min_on_sphere,
     parse_polynomial,
     parse_sigma,
     sigma_elliptic_probe,
@@ -137,6 +139,41 @@ def test_algebraic_distance_never_exceeds_the_norm():
     for _ in range(20):
         x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         assert sigma.distance(x) <= math.hypot(*x) + 1e-12
+
+
+class RecordingOptimize:
+    """Forwards `minimize` to scipy and records the method of each call."""
+
+    def __init__(self):
+        self.methods = []
+
+    def minimize(self, *args, **kwargs):
+        from scipy import optimize
+
+        self.methods.append(kwargs["method"])
+        return optimize.minimize(*args, **kwargs)
+
+
+def test_descents_and_projections_call_the_module_optimize(monkeypatch):
+    # the bench counts refinement and projection work through the module
+    # attributes lojasiewicz.optimize and relative.optimize; a descent that
+    # bypassed them would leave those counts at 0
+    germ = mk(["x - y^2", "x^2"], 2)
+    cfg = ScanConfig(grid_per_angle=16, multistarts=3)
+
+    def F(x):
+        return KUO.value(germ, 1, x)
+
+    sigma = AlgebraicSet(2, (parse_polynomial("x - y^2", 2),))
+    sphere, dist = min_on_sphere(F, 2, 0.1, cfg), sigma.distance((0.1, 0.05))
+    refine, project = RecordingOptimize(), RecordingOptimize()
+    monkeypatch.setattr(lj, "optimize", refine)
+    monkeypatch.setattr(rel, "optimize", project)
+    assert min_on_sphere(F, 2, 0.1, cfg) == sphere
+    assert refine.methods == ["Nelder-Mead"] * 3 and project.methods == []
+    assert sigma.distance((0.1, 0.05)) == dist
+    assert project.methods == ["L-BFGS-B"] * 8  # 2 starts x 4 penalty weights
+    assert refine.methods == ["Nelder-Mead"] * 3
 
 
 # -- parsing and description -------------------------------------------------------
